@@ -400,6 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact counts are printed as decimal strings of any length; lift the
+    # int-to-str digit limit where the interpreter has one (3.10.7+).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -37,14 +37,16 @@ def cycle_poly(n: int) -> UniPoly:
     """Independence polynomial of the cycle on n >= 3 vertices.
 
     Coefficient of x^k is n/(n-k) * C(n-k, k); the prefactor is computed
-    exactly and asserted to reduce to an integer.
+    exactly, and an AssertionError is raised if it does not reduce to an
+    integer.
     """
     if n < 3:
         raise ValueError(f"cycle size {n} < 3")
     coeffs = []
     for k in range(n // 2 + 1):
         q, r = divmod(n * comb(n - k, k), n - k)
-        assert r == 0, "cycle coefficient must be integral"
+        if r:
+            raise AssertionError("cycle coefficient must be integral")
         coeffs.append(q)
     return UniPoly(coeffs)
 
@@ -76,7 +78,8 @@ def psi_path(n: int) -> int:
     """
     fl = fib_lucas(n)
     num = 3 * fl.fib + fl.lucas
-    assert num % 2 == 0, "3F + L must be even"
+    if num % 2:
+        raise AssertionError("3F + L must be even")
     return num // 2
 
 

@@ -34,9 +34,13 @@ class VertexCapError(ValueError):
 
 def _check_indpoly(p: UniPoly, num_vertices: int) -> UniPoly:
     # Boundary sanity for every finished independence polynomial.
-    assert p.coefficient(0) == 1, "empty set must be counted once"
-    assert p.coefficient(1) == num_vertices, "singletons must count vertices"
-    assert all(c >= 0 for c in p.coeffs), "counts cannot be negative"
+    # Raised explicitly rather than asserted, so the check survives python -O.
+    if p.coefficient(0) != 1:
+        raise AssertionError("empty set must be counted once")
+    if p.coefficient(1) != num_vertices:
+        raise AssertionError("singletons must count vertices")
+    if any(c < 0 for c in p.coeffs):
+        raise AssertionError("counts cannot be negative")
     return p
 
 

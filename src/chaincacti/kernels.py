@@ -1,4 +1,7 @@
-"""Pure-Python counting kernel: lowest-vertex branching with a memo table.
+"""Independent-set counting kernel: lowest-vertex branching with a memo table.
+
+Given per-vertex neighbor bitmasks, the kernel returns the number of
+independent sets of each size, index 0 (the empty set) through len(masks).
 
 For the set ``allowed`` of vertices still free to choose, let v be its
 lowest vertex; every independent set either skips v or takes it and drops
@@ -20,7 +23,8 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def count_by_size(masks: Sequence[int]) -> list[int]:
+def count_independent_sets(masks: Sequence[int]) -> list[int]:
+    """Counts of independent sets grouped by size, smallest size first."""
     n = len(masks)
     if n > 64:
         raise ValueError(f"kernel supports at most 64 vertices, got {n}")

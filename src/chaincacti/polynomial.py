@@ -4,7 +4,7 @@ Independence polynomials live here: the degree is the independence number,
 the coefficient sum is the total count of independent sets, the leading
 coefficient counts the maximum independent sets.  Coefficients are signed
 because recurrence intermediates can go negative; only finished independence
-polynomials are expected to be nonnegative, and that is asserted where they
+polynomials are expected to be nonnegative, and that is checked where they
 are produced, not here.
 """
 

@@ -31,7 +31,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> LabeledGraph:
 def indpoly_subset_filter(g: LabeledGraph) -> UniPoly:
     """Count independent sets by filtering all 2^V subsets.
 
-    Deliberately shares no code with the counting kernels or engines; keep
+    Deliberately shares no code with the counting kernel or engines; keep
     graphs at 14 vertices or fewer.
     """
     n = g.num_vertices

@@ -1,12 +1,15 @@
 """CLI behavior: output shapes, format selection, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chaincacti.cli import main
+from chaincacti.closed_forms import psi_path
 
 
 def run_json(capsys, argv):
@@ -228,3 +231,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "psi = 18" in proc.stdout
+
+
+def test_exact_counts_render_past_the_int_digit_limit():
+    # psi_path(3500) has over 700 digits; the interpreter limit is set to 640
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "chaincacti",
+         "closed", "path", "--n", "3500", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["psi"] == str(psi_path(3500))

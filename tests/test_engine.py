@@ -1,6 +1,10 @@
 """The three engines against each other and against the subset-filter oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,3 +203,18 @@ def test_vertex_deletion_identity_on_random_chains():
             )
             assert whole == without + without_hood.shift(1)
             assert without.eval_at_one() < whole.eval_at_one()
+
+
+def test_indpoly_check_survives_optimized_mode():
+    # python -O strips assert statements; the boundary check must still fire
+    code = (
+        "from chaincacti.engine import _check_indpoly\n"
+        "from chaincacti.polynomial import UniPoly\n"
+        "_check_indpoly(UniPoly([2, -1]), 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: empty set must be counted once" in proc.stderr

@@ -1,5 +1,4 @@
-"""Counting kernels: the memoized pure kernel against slow oracles, the
-compiled twin, and backend selection."""
+"""The memoized counting kernel against slow oracles."""
 
 import random
 
@@ -7,23 +6,18 @@ import pytest
 
 from chaincacti.chain_model import build, parse_spec
 from chaincacti.engine import BRUTE_FORCE_CAP
-from chaincacti.kernels import BACKEND, _pure, count_independent_sets
+from chaincacti.kernels import count_independent_sets
 from chaincacti.polynomial import UniPoly
 
 from conftest import count_by_size_per_set, indpoly_subset_filter, random_graph
 
-try:
-    from chaincacti.kernels import _speedups
-except ImportError:
-    _speedups = None
-
 
 def test_trivial_graphs():
-    assert _pure.count_by_size([]) == [1]
-    assert _pure.count_by_size([0]) == [1, 1]
-    assert _pure.count_by_size([0, 0]) == [1, 2, 1]
+    assert count_independent_sets([]) == [1]
+    assert count_independent_sets([0]) == [1, 1]
+    assert count_independent_sets([0, 0]) == [1, 2, 1]
     # one edge: counts are padded out to index n even when no set that large exists
-    assert _pure.count_by_size([2, 1]) == [1, 2, 0]
+    assert count_independent_sets([2, 1]) == [1, 2, 0]
 
 
 def test_pure_kernel_matches_subset_filter():
@@ -32,7 +26,7 @@ def test_pure_kernel_matches_subset_filter():
         n = rng.randint(0, 12)
         g = random_graph(rng, n, rng.random())
         expected = indpoly_subset_filter(g)
-        got = UniPoly(_pure.count_by_size(g.adjacency_masks()))
+        got = UniPoly(count_independent_sets(g.adjacency_masks()))
         assert got == expected, f"trial {trial}"
 
 
@@ -44,39 +38,9 @@ def test_memoized_kernel_matches_per_set_oracle():
     assert cases[-1].num_vertices == BRUTE_FORCE_CAP
     for case, g in enumerate(cases):
         masks = g.adjacency_masks()
-        assert _pure.count_by_size(masks) == count_by_size_per_set(masks), f"case {case}"
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_compiled_kernel_matches_pure():
-    rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(0, 20)
-        masks = random_graph(rng, n, rng.random()).adjacency_masks()
-        assert _speedups.count_by_size(masks) == _pure.count_by_size(masks)
+        assert count_independent_sets(masks) == count_by_size_per_set(masks), f"case {case}"
 
 
 def test_kernel_rejects_oversized_input():
     with pytest.raises(ValueError, match="64"):
-        _pure.count_by_size([0] * 65)
-    if _speedups is not None:
-        with pytest.raises(ValueError, match="64"):
-            _speedups.count_by_size([0] * 65)
-
-
-def test_selected_backend_is_exposed():
-    assert BACKEND in ("cython", "pure")
-    assert count_independent_sets([0, 0]) == [1, 2, 1]
-
-
-def test_pure_override_env(monkeypatch):
-    # re-import the package namespace with the override set
-    import importlib
-    import chaincacti.kernels as kernels
-
-    monkeypatch.setenv("CHAINCACTI_PURE", "1")
-    try:
-        assert importlib.reload(kernels).BACKEND == "pure"
-    finally:
-        monkeypatch.delenv("CHAINCACTI_PURE", raising=False)
-        importlib.reload(kernels)
+        count_independent_sets([0] * 65)
