@@ -18,7 +18,6 @@ from .chain_model import (
     enumerate_specs,
     parse_spec,
     reversed_spec,
-    validate,
 )
 from .closed_forms import (
     FibLucas,
@@ -49,10 +48,8 @@ from .extremal import (
     SweepEntry,
     SweepReport,
     Verdict,
+    deletion_verdicts,
     sweep,
-    verify_meta_deletion_max,
-    verify_ortho_deletion_min,
-    verify_psi_deletion_ordering,
 )
 from .polynomial import Dominance, UniPoly, dominance
 
@@ -79,6 +76,7 @@ __all__ = [
     "count_mis_meta",
     "count_mis_ortho",
     "cycle_poly",
+    "deletion_verdicts",
     "dominance",
     "enumerate_specs",
     "fib_lucas",
@@ -95,9 +93,5 @@ __all__ = [
     "reversed_spec",
     "sweep",
     "transfer_state",
-    "validate",
-    "verify_meta_deletion_max",
-    "verify_ortho_deletion_min",
-    "verify_psi_deletion_ordering",
     "__version__",
 ]

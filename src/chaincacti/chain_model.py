@@ -38,14 +38,38 @@ class VertexLabel(NamedTuple):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Cycle sizes plus internal attachment positions."""
+    """Cycle sizes plus internal attachment positions, checked and canonical.
+
+    Construction rejects an invalid spec with a SpecError: every cycle size
+    must be at least 3; the positions sequence must have length
+    max(n-2, 0); each raw position k_j must satisfy 1 <= k_j <= h_j - 1 and
+    is folded to min(k_j, h_j - k_j).  So every ChainSpec is canonical, and
+    two specs of the same chain compare equal.
+    """
 
     cycle_sizes: tuple[int, ...]
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cycle_sizes", tuple(self.cycle_sizes))
-        object.__setattr__(self, "positions", tuple(self.positions))
+        sizes = tuple(self.cycle_sizes)
+        positions = tuple(self.positions)
+        for i, h in enumerate(sizes, start=1):
+            if not isinstance(h, int) or h < 3:
+                raise SpecError(f"cycle size {h} < 3 at cycle {i}")
+        n = len(sizes)
+        want = max(n - 2, 0)
+        if len(positions) != want:
+            raise SpecError(
+                f"expected {want} position(s) for {n} cycle(s), got {len(positions)}"
+            )
+        canon = []
+        for j, k in enumerate(positions, start=2):
+            h = sizes[j - 1]
+            if not isinstance(k, int) or not 1 <= k <= h - 1:
+                raise SpecError(f"position {k} out of range 1..{h - 1} on cycle {j}")
+            canon.append(min(k, h - k))
+        object.__setattr__(self, "cycle_sizes", sizes)
+        object.__setattr__(self, "positions", tuple(canon))
 
     @property
     def length(self) -> int:
@@ -68,36 +92,9 @@ class ChainSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSpec":
         try:
-            return validate(cls(tuple(obj["cycle_sizes"]), tuple(obj["positions"])))
+            return cls(obj["cycle_sizes"], obj["positions"])
         except (KeyError, TypeError) as exc:
             raise SpecError(f"bad spec object: {exc}") from exc
-
-
-def validate(spec: ChainSpec) -> ChainSpec:
-    """Check a ChainSpec and return its canonical form.
-
-    Every cycle size must be at least 3; the positions sequence must have
-    length max(n-2, 0); each raw position k_j must satisfy 1 <= k_j <= h_j - 1
-    and is folded to min(k_j, h_j - k_j).
-    """
-    sizes = spec.cycle_sizes
-    for i, h in enumerate(sizes, start=1):
-        if not isinstance(h, int) or h < 3:
-            raise SpecError(f"cycle size {h} < 3 at cycle {i}")
-    n = len(sizes)
-    want = max(n - 2, 0)
-    if len(spec.positions) != want:
-        raise SpecError(
-            f"expected {want} position(s) for {n} cycle(s), got {len(spec.positions)}"
-        )
-    canon = []
-    for idx, k in enumerate(spec.positions):
-        j = idx + 2
-        h = sizes[j - 1]
-        if not isinstance(k, int) or not 1 <= k <= h - 1:
-            raise SpecError(f"position {k} out of range 1..{h - 1} on cycle {j}")
-        canon.append(min(k, h - k))
-    return ChainSpec(sizes, tuple(canon))
 
 
 def parse_spec(text: str) -> ChainSpec:
@@ -122,7 +119,7 @@ def parse_spec(text: str) -> ChainSpec:
             f"{text!r} has {len(sizes)} cycles but no '/': positions are required"
         )
     positions = tuple(_parse_int(t, "position") for t in _split(pos_part))
-    return validate(ChainSpec(sizes, positions))
+    return ChainSpec(sizes, positions)
 
 
 def _split(part: str) -> list[str]:
@@ -171,9 +168,9 @@ def enumerate_specs(
     sizes = tuple(cycle_sizes)
     if not sizes:
         raise SpecError("need at least one cycle")
-    for i, h in enumerate(sizes, start=1):
-        if h < 3:
-            raise SpecError(f"cycle size {h} < 3 at cycle {i}")
+    # The all-ones chain exists for every valid size list, so building it
+    # checks the sizes before an empty position range can hide a bad one.
+    ChainSpec(sizes, (1,) * max(len(sizes) - 2, 0))
     palindrome = sizes == sizes[::-1]
     ranges = [range(1, h // 2 + 1) for h in sizes[1 : len(sizes) - 1]]
     for pos in itertools.product(*ranges):
@@ -252,13 +249,12 @@ class LabeledGraph:
 
 
 def build(spec: ChainSpec) -> LabeledGraph:
-    """Construct the chain cactus for a spec (canonicalized first).
+    """Construct the chain cactus for a spec.
 
     Vertex ids are assigned densely cycle by cycle; each new cycle reuses the
     attachment vertex of the previous one as its position-h vertex.  The
     result has sum(h_i) - (n-1) vertices and sum(h_i) edges.
     """
-    spec = validate(spec)
     n = spec.length
     if n == 0:
         return LabeledGraph(1, (), {VertexLabel(1, 1): 0})

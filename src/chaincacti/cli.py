@@ -6,7 +6,8 @@ canonical position sequence over a size list and reports extremes and
 verdicts, ``verify`` runs the exhaustive property suites.
 
 Exit codes: 0 success, 1 verification failure (counterexample emitted),
-2 parse or domain error, 3 resource cap exceeded, 4 I/O failure.  Big counts
+2 parse or domain error, 3 resource cap exceeded, 4 I/O failure, 5 internal
+error (any other exception; its traceback goes to stderr).  Big counts
 are always rendered as decimal strings.  The CHAINCACTI_FORMAT environment
 variable sets the default output format where the flag is omitted.
 """
@@ -50,6 +51,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -416,3 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        import traceback  # only here, so that every run does not pay for the import
+
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .chain_model import ChainSpec, LabeledGraph, SpecError, validate
+from .chain_model import ChainSpec, LabeledGraph, SpecError
 from .closed_forms import path_poly
 from .kernels import count_independent_sets
 from .polynomial import UniPoly
@@ -208,7 +208,6 @@ def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
     Recently scanned prefixes are cached, so the per-position deletion
     queries of the extremal module pay for the scan once per spec.
     """
-    spec = validate(spec)
     n = spec.length
     if not 1 <= through_cycle <= n - 1:
         raise SpecError(f"through_cycle {through_cycle} outside 1..{n - 1}")
@@ -217,7 +216,6 @@ def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
 
 def indpoly_chain(spec: ChainSpec) -> UniPoly:
     """Independence polynomial of a chain cactus by the transfer scan."""
-    spec = validate(spec)
     n = spec.length
     if n < 1:
         raise SpecError("chain engine requires at least one cycle")
@@ -238,7 +236,6 @@ def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     previous cycle).  Removing v_k splits the last cycle into two arcs of
     k-1 and h_n-1-k interior vertices around the remaining cut vertex.
     """
-    spec = validate(spec)
     n = spec.length
     if n < 2:
         raise SpecError("vertex deletion on the last cycle requires n >= 2")

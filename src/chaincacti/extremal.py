@@ -17,7 +17,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .chain_model import ChainSpec, SpecError, enumerate_specs, validate
+from .chain_model import ChainSpec, SpecError, enumerate_specs
 from .engine import indpoly_chain, indpoly_chain_minus_last_vertex
 from .polynomial import Dominance, UniPoly, dominance
 
@@ -56,26 +56,36 @@ def _poly_pair(spec: ChainSpec, k: int, a: UniPoly, b: UniPoly) -> dict:
     }
 
 
-def _deletion_polys(spec: ChainSpec) -> dict[int, UniPoly]:
-    """Deletion polynomials for every canonical position of the last cycle."""
+def deletion_verdicts(spec: ChainSpec) -> tuple[Verdict, Verdict, Verdict]:
+    """The three last-cycle deletion verdicts of one chain.
+
+    Computes i(A - v_k) once for each canonical position k in
+    1..floor(h_n/2) and judges, in this order: position 1 is the strict
+    minimum, position 2 the strict maximum of the deeper positions, and the
+    psi ordering.  Requires n >= 2.
+    """
+    if spec.length < 2:
+        raise SpecError("deletion comparisons require n >= 2")
     h = spec.cycle_sizes[-1]
-    return {
+    polys = {
         k: indpoly_chain_minus_last_vertex(spec, k) for k in range(1, h // 2 + 1)
     }
+    return (
+        _ortho_deletion_min(spec, polys),
+        _meta_deletion_max(spec, polys),
+        _psi_deletion_ordering(spec, polys),
+    )
 
 
-def verify_ortho_deletion_min(spec: ChainSpec) -> Verdict:
+def _ortho_deletion_min(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
     """Deleting position 1 is strictly dominated by every other deletion.
 
     Checks i(A - v_1) strictly below i(A - v_k) coefficientwise for each
     k in 2..floor(h_n/2); vacuous when that range is empty (h_n = 3).
     """
-    spec = _require_chain(spec)
-    h = spec.cycle_sizes[-1]
-    top = h // 2
+    top = max(polys)
     if top < 2:
         return Verdict("vacuous", "no canonical position beyond 1")
-    polys = _deletion_polys(spec)
     for k in range(2, top + 1):
         if dominance(polys[1], polys[k]) is not Dominance.STRICTLY_DOMINATED:
             return Verdict(
@@ -86,18 +96,15 @@ def verify_ortho_deletion_min(spec: ChainSpec) -> Verdict:
     return Verdict("pass", f"checked k in 2..{top}")
 
 
-def verify_meta_deletion_max(spec: ChainSpec) -> Verdict:
+def _meta_deletion_max(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
     """Deleting position 2 strictly dominates every deeper deletion.
 
     Checks i(A - v_k) strictly below i(A - v_2) coefficientwise for each
     k in 3..floor(h_n/2); vacuous when h_n < 6.
     """
-    spec = _require_chain(spec)
-    h = spec.cycle_sizes[-1]
-    top = h // 2
+    top = max(polys)
     if top < 3:
         return Verdict("vacuous", "no canonical position beyond 2")
-    polys = _deletion_polys(spec)
     for k in range(3, top + 1):
         if dominance(polys[k], polys[2]) is not Dominance.STRICTLY_DOMINATED:
             return Verdict(
@@ -108,14 +115,11 @@ def verify_meta_deletion_max(spec: ChainSpec) -> Verdict:
     return Verdict("pass", f"checked k in 3..{top}")
 
 
-def verify_psi_deletion_ordering(spec: ChainSpec) -> Verdict:
+def _psi_deletion_ordering(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
     """Total counts after deletion are ordered: position 1 < others < position 2."""
-    spec = _require_chain(spec)
-    h = spec.cycle_sizes[-1]
-    top = h // 2
+    top = max(polys)
     if top < 2:
         return Verdict("vacuous", "only one canonical position")
-    polys = _deletion_polys(spec)
     psi = {k: p.eval_at_one() for k, p in polys.items()}
     for k in range(2, top + 1):
         if not psi[1] < psi[k]:
@@ -132,13 +136,6 @@ def verify_psi_deletion_ordering(spec: ChainSpec) -> Verdict:
                 _poly_pair(spec, k, polys[k], polys[2]),
             )
     return Verdict("pass", f"checked k in 2..{top}")
-
-
-def _require_chain(spec: ChainSpec) -> ChainSpec:
-    spec = validate(spec)
-    if spec.length < 2:
-        raise SpecError("deletion comparisons require n >= 2")
-    return spec
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -193,18 +190,12 @@ class SweepReport:
         return buf.getvalue()
 
 
-def _sweep_one(args: tuple[tuple[int, ...], tuple[int, ...]]):
-    sizes, positions = args
-    spec = ChainSpec(sizes, positions)
+def _sweep_one(spec: ChainSpec) -> tuple[SweepEntry, tuple[Verdict, ...]]:
     poly = indpoly_chain(spec)
     deg, lead = poly.degree_and_leading()
-    entry = SweepEntry(positions, poly.eval_at_one(), deg, lead)
+    entry = SweepEntry(spec.positions, poly.eval_at_one(), deg, lead)
     if spec.length >= 2:
-        checks = (
-            verify_ortho_deletion_min(spec),
-            verify_meta_deletion_max(spec),
-            verify_psi_deletion_ordering(spec),
-        )
+        checks = deletion_verdicts(spec)
     else:
         vac = Verdict("vacuous", "requires n >= 2")
         checks = (vac, vac, vac)
@@ -235,7 +226,7 @@ def sweep(
     it exists) the unique strict maximum.
     """
     sizes = tuple(cycle_sizes)
-    specs = [(sizes, s.positions) for s in enumerate_specs(sizes, dedupe_reversal)]
+    specs = list(enumerate_specs(sizes, dedupe_reversal))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_one, specs)

@@ -47,22 +47,28 @@ from .engine import (
     indpoly_recursive,
     transfer_state,
 )
-from .extremal import (
-    verify_meta_deletion_max,
-    verify_ortho_deletion_min,
-    verify_psi_deletion_ordering,
-)
+from .extremal import deletion_verdicts
 from .kernels import count_independent_sets
 from .polynomial import UniPoly
 
 
 @dataclass
 class PropertyResult:
+    """Pass/fail record of one property, keeping the first counterexample."""
+
     name: str
-    passed: bool
-    checked: int
     detail: str = ""
+    checked: int = 0
     counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def check(self, ok: bool, counterexample_factory) -> None:
+        self.checked += 1
+        if not ok and self.counterexample is None:
+            self.counterexample = counterexample_factory()
 
     def to_json(self) -> dict:
         return {
@@ -72,28 +78,6 @@ class PropertyResult:
             "detail": self.detail,
             "counterexample": self.counterexample,
         }
-
-
-class _Tracker:
-    """Per-property pass/fail accumulator keeping the first counterexample."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.failure: dict | None = None
-        self.notes: list[str] = []
-
-    def check(self, ok: bool, counterexample_factory) -> None:
-        self.checked += 1
-        if not ok and self.failure is None:
-            self.failure = counterexample_factory()
-
-    def result(self, detail: str = "") -> PropertyResult:
-        notes = "; ".join(self.notes)
-        full_detail = "; ".join(x for x in (detail, notes) if x)
-        return PropertyResult(
-            self.name, self.failure is None, self.checked, full_detail, self.failure
-        )
 
 
 def size_lists(
@@ -121,12 +105,14 @@ def verify_engines(
     n_values: Sequence[int],
     deletion_identity_cap: int = 20,
 ) -> list[PropertyResult]:
-    agreement = _Tracker("engine_agreement")
-    counts = _Tracker("unit_and_vertex_counts")
-    reversal = _Tracker("reversal_invariance")
-    mirror = _Tracker("mirror_deletion_symmetry")
-    prefix = _Tracker("transfer_prefix_consistency")
-    identity = _Tracker("vertex_deletion_identity")
+    agreement = PropertyResult("engine_agreement")
+    counts = PropertyResult("unit_and_vertex_counts")
+    reversal = PropertyResult("reversal_invariance")
+    mirror = PropertyResult("mirror_deletion_symmetry")
+    prefix = PropertyResult("transfer_prefix_consistency")
+    identity = PropertyResult(
+        "vertex_deletion_identity", f"graphs up to {deletion_identity_cap} vertices"
+    )
 
     for spec in all_specs(h_values, n_values):
         g = build(spec)
@@ -178,14 +164,7 @@ def verify_engines(
         if nv <= deletion_identity_cap:
             _check_deletion_identity(g, spec, identity)
 
-    return [
-        agreement.result(),
-        counts.result(),
-        reversal.result(),
-        mirror.result(),
-        prefix.result(),
-        identity.result(f"graphs up to {deletion_identity_cap} vertices"),
-    ]
+    return [agreement, counts, reversal, mirror, prefix, identity]
 
 
 def _masks_without(masks: list[int], drop: int) -> list[int]:
@@ -204,7 +183,7 @@ def _masks_without(masks: list[int], drop: int) -> list[int]:
 
 
 def _check_deletion_identity(
-    g: LabeledGraph, spec: ChainSpec, tracker: _Tracker
+    g: LabeledGraph, spec: ChainSpec, result: PropertyResult
 ) -> None:
     """i(G) = i(G - v) + x * i(G - N[v]) and psi strictly drops per vertex."""
     masks = g.adjacency_masks()
@@ -219,7 +198,7 @@ def _check_deletion_identity(
             whole == without_v + without_nbhd.shift(1)
             and without_v.eval_at_one() < psi
         )
-        tracker.check(ok, lambda: {"spec": spec.to_text(), "vertex": v})
+        result.check(ok, lambda: {"spec": spec.to_text(), "vertex": v})
 
 
 # -- recurrences ---------------------------------------------------------------
@@ -250,7 +229,9 @@ def _twos(h: int, n: int) -> ChainSpec:
 def verify_recurrences(
     h_values: Sequence[int], n_values: Sequence[int]
 ) -> list[PropertyResult]:
-    formulas = _Tracker("path_cycle_formulas")
+    formulas = PropertyResult(
+        "path_cycle_formulas", "paths to 18 vertices, cycles 3..18, against brute force"
+    )
     for n in range(0, 19):
         formulas.check(
             path_poly(n) == indpoly_bruteforce(_path_graph(n)),
@@ -262,18 +243,18 @@ def verify_recurrences(
             lambda: {"family": "cycle", "n": n},
         )
 
-    fib = _Tracker("psi_path_fibonacci_lucas")
+    fib = PropertyResult("psi_path_fibonacci_lucas", "n = 1..50")
     for n in range(1, 51):
         fib.check(
             psi_path(n) == path_poly(n).eval_at_one(), lambda: {"n": n}
         )
 
-    splits = _Tracker("short_chain_forms")
-    ortho_match = _Tracker("ortho_matches_engine")
-    meta_match = _Tracker("meta_matches_engine")
-    ortho_rec = _Tracker("ortho_recurrence_on_engine")
-    meta_rec = _Tracker("meta_recurrence_on_engine")
-    extremes = _Tracker("alpha_and_mis_formulas")
+    splits = PropertyResult("short_chain_forms")
+    ortho_match = PropertyResult("ortho_matches_engine")
+    meta_match = PropertyResult("meta_matches_engine", "h >= 4 only")
+    ortho_rec = PropertyResult("ortho_recurrence_on_engine")
+    meta_rec = PropertyResult("meta_recurrence_on_engine")
+    extremes = PropertyResult("alpha_and_mis_formulas")
 
     hs = sorted(set(h_values))
     ns = sorted(set(n_values))
@@ -337,14 +318,14 @@ def verify_recurrences(
                 extremes.check(ok, lambda: {"family": "meta", "h": h, "n": n})
 
     return [
-        formulas.result("paths to 18 vertices, cycles 3..18, against brute force"),
-        fib.result("n = 1..50"),
-        splits.result(),
-        ortho_match.result(),
-        meta_match.result("h >= 4 only"),
-        ortho_rec.result(),
-        meta_rec.result(),
-        extremes.result(),
+        formulas,
+        fib,
+        splits,
+        ortho_match,
+        meta_match,
+        ortho_rec,
+        meta_rec,
+        extremes,
     ]
 
 
@@ -354,24 +335,21 @@ def verify_recurrences(
 def verify_dominance(
     h_values: Sequence[int], n_values: Sequence[int]
 ) -> list[PropertyResult]:
-    ortho_min = _Tracker("ortho_deletion_min")
-    meta_max = _Tracker("meta_deletion_max")
-    psi_order = _Tracker("psi_deletion_ordering")
-    vacuous = {"ortho_deletion_min": 0, "meta_deletion_max": 0, "psi_deletion_ordering": 0}
+    results = [
+        PropertyResult("ortho_deletion_min"),
+        PropertyResult("meta_deletion_max"),
+        PropertyResult("psi_deletion_ordering"),
+    ]
+    vacuous = [0, 0, 0]
 
     ns = [n for n in n_values if n >= 2]
     for spec in all_specs(h_values, ns):
-        for tracker, verdict in (
-            (ortho_min, verify_ortho_deletion_min(spec)),
-            (meta_max, verify_meta_deletion_max(spec)),
-            (psi_order, verify_psi_deletion_ordering(spec)),
-        ):
+        for i, verdict in enumerate(deletion_verdicts(spec)):
             if verdict.status == "vacuous":
-                vacuous[tracker.name] += 1
+                vacuous[i] += 1
                 continue
-            tracker.check(verdict.ok, lambda: verdict.counterexample)
+            results[i].check(verdict.ok, lambda: verdict.counterexample)
 
-    return [
-        t.result(f"{vacuous[t.name]} vacuous chain(s) skipped")
-        for t in (ortho_min, meta_max, psi_order)
-    ]
+    for result, skipped in zip(results, vacuous):
+        result.detail = f"{skipped} vacuous chain(s) skipped"
+    return results

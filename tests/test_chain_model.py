@@ -13,7 +13,6 @@ from chaincacti.chain_model import (
     enumerate_specs,
     parse_spec,
     reversed_spec,
-    validate,
 )
 
 
@@ -54,11 +53,18 @@ def test_parse_rejects_malformed_specs(text):
         parse_spec(text)
 
 
-def test_validate_reports_offending_cycle():
+def test_construction_reports_offending_cycle():
     with pytest.raises(SpecError, match="cycle size 2 < 3 at cycle 2"):
-        validate(ChainSpec((6, 2), ()))
+        ChainSpec((6, 2), ())
     with pytest.raises(SpecError, match="out of range"):
-        validate(ChainSpec((6, 6, 6), (7,)))
+        ChainSpec((6, 6, 6), (7,))
+    with pytest.raises(SpecError, match="expected 1 position"):
+        ChainSpec((6, 6, 6), ())
+
+
+def test_construction_canonicalizes_positions():
+    assert ChainSpec((6, 6, 6), (4,)) == ChainSpec((6, 6, 6), (2,))
+    assert ChainSpec([6, 6, 6], [4]).positions == (2,)
 
 
 def test_text_round_trip():
@@ -74,6 +80,10 @@ def test_json_round_trip():
     assert ChainSpec.from_json(spec.to_json()) == spec
     with pytest.raises(SpecError):
         ChainSpec.from_json({"cycle_sizes": [6, 6]})
+    with pytest.raises(SpecError):
+        ChainSpec.from_json({"cycle_sizes": [6, "x"], "positions": []})
+    with pytest.raises(SpecError):
+        ChainSpec.from_json({"cycle_sizes": [6, 6, 6], "positions": None})
 
 
 def test_build_counts_vertices_and_edges():
@@ -173,6 +183,9 @@ def test_enumerate_specs_counts_and_order():
     seqs = [s.positions for s in enumerate_specs([6, 6, 6, 6])]
     assert seqs == sorted(seqs)
     assert seqs[0] == (1, 1) and seqs[-1] == (3, 3)
+    # an internal cycle too small to offer any position is still an error
+    with pytest.raises(SpecError, match="cycle size 1 < 3 at cycle 2"):
+        list(enumerate_specs([6, 1, 6]))
 
 
 def test_enumerate_specs_reversal_dedupe():
@@ -193,4 +206,3 @@ def test_reversed_spec_round_trips():
     assert rev.cycle_sizes == (6, 7, 6, 5)
     assert rev.positions == (3, 2)
     assert reversed_spec(rev) == spec
-    assert validate(rev) == rev  # canonical positions stay canonical

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from chaincacti.cli import main
+import chaincacti.cli as cli
+from chaincacti.cli import EXIT_INTERNAL, main
 from chaincacti.closed_forms import psi_path
 
 
@@ -98,6 +99,19 @@ def test_poly_parse_errors(capsys):
 def test_poly_bruteforce_cap(capsys):
     assert main(["poly", "8^5/1,1,1", "--engine", "brute"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(graph):
+        raise RecursionError("too deep")
+
+    monkeypatch.setattr(cli, "indpoly_recursive", broken)
+    assert EXIT_INTERNAL == 5
+    assert main(["poly", "6,6/", "--engine", "recursive"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback (most recent call last)" in captured.err
+    assert captured.err.rstrip().endswith("error: internal: RecursionError: too deep")
 
 
 def test_closed_path_and_cycle(capsys):
@@ -224,10 +238,12 @@ def test_format_env_variable(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "chaincacti", "poly", "6/"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "psi = 18" in proc.stdout

@@ -18,7 +18,6 @@ from chaincacti.chain_model import (
     enumerate_specs,
     parse_spec,
     reversed_spec,
-    validate,
 )
 from chaincacti.closed_forms import cycle_poly, path_poly
 from chaincacti.engine import (
@@ -156,7 +155,7 @@ def test_deletion_argument_errors():
 
 @pytest.mark.parametrize("text", ["6,6/", "6,6,6/2", "5,6,7,6/2,3"])
 def test_transfer_state_counts_prefix_sets_by_exit_occupancy(text):
-    spec = validate(parse_spec(text))
+    spec = parse_spec(text)
     for j in range(1, spec.length):
         state = transfer_state(spec, j)
         head = ChainSpec(spec.cycle_sizes[:j], spec.positions[: max(j - 2, 0)])

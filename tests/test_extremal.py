@@ -4,50 +4,109 @@ import json
 
 import pytest
 
+import chaincacti.extremal as extremal
 from chaincacti.chain_model import ChainSpec, SpecError, parse_spec
 from chaincacti.extremal import (
     SweepEntry,
     Verdict,
     _extremality_verdict,
     _merge,
+    _meta_deletion_max,
+    _ortho_deletion_min,
+    _psi_deletion_ordering,
+    deletion_verdicts,
     sweep,
-    verify_meta_deletion_max,
-    verify_ortho_deletion_min,
-    verify_psi_deletion_ordering,
 )
+from chaincacti.polynomial import UniPoly
 
 
 def test_deletion_verdicts_on_two_hexagons():
-    spec = parse_spec("6,6/")
-    assert verify_ortho_deletion_min(spec).status == "pass"
-    assert verify_meta_deletion_max(spec).status == "pass"
-    assert verify_psi_deletion_ordering(spec).status == "pass"
+    verdicts = deletion_verdicts(parse_spec("6,6/"))
+    assert [v.status for v in verdicts] == ["pass", "pass", "pass"]
 
 
 def test_deletion_verdicts_pass_across_small_sizes():
     for sizes in [(4, 7), (8, 8), (5, 6, 7), (6, 4, 8)]:
         spec = ChainSpec(sizes, tuple(1 for _ in sizes[1:-1]))
-        assert verify_ortho_deletion_min(spec).ok
-        assert verify_meta_deletion_max(spec).ok
-        assert verify_psi_deletion_ordering(spec).ok
+        assert all(v.ok for v in deletion_verdicts(spec))
 
 
 def test_deletion_verdicts_vacuous_cases():
     # triangle last cycle: position 1 is the only canonical deletion
-    v = verify_ortho_deletion_min(parse_spec("6,3/"))
-    assert v.status == "vacuous"
-    assert "no canonical position beyond 1" in v.detail
+    ortho, meta, psi = deletion_verdicts(parse_spec("6,3/"))
+    assert ortho.status == "vacuous"
+    assert "no canonical position beyond 1" in ortho.detail
+    assert meta.status == "vacuous"
+    assert psi.status == "vacuous"
     # h = 4 or 5 last cycle: nothing deeper than position 2
-    assert verify_meta_deletion_max(parse_spec("6,4/")).status == "vacuous"
-    assert verify_meta_deletion_max(parse_spec("6,5/")).status == "vacuous"
-    assert verify_psi_deletion_ordering(parse_spec("6,3/")).status == "vacuous"
+    for text in ("6,4/", "6,5/"):
+        ortho, meta, psi = deletion_verdicts(parse_spec(text))
+        assert meta.status == "vacuous"
+        assert ortho.status == psi.status == "pass"
 
 
 def test_deletion_verdicts_require_two_cycles():
     with pytest.raises(SpecError):
-        verify_ortho_deletion_min(parse_spec("6/"))
+        deletion_verdicts(parse_spec("6/"))
     with pytest.raises(SpecError):
-        verify_meta_deletion_max(parse_spec("8/"))
+        deletion_verdicts(parse_spec("8/"))
+
+
+def test_deletion_verdicts_compute_each_position_once(monkeypatch):
+    calls = []
+
+    def counting(spec, k):
+        calls.append((spec, k))
+        return UniPoly([1, k])
+
+    monkeypatch.setattr(extremal, "indpoly_chain_minus_last_vertex", counting)
+    for text in ("6,3/", "6,8/", "5,6,9/2"):
+        calls.clear()
+        spec = parse_spec(text)
+        deletion_verdicts(spec)
+        h = spec.cycle_sizes[-1]
+        assert calls == [(spec, k) for k in range(1, h // 2 + 1)]
+
+
+def _assert_fail(verdict, k, poly_a, poly_b):
+    assert verdict.status == "fail"
+    assert not verdict.ok
+    assert verdict.counterexample == {
+        "spec": "8,8",
+        "k": k,
+        "poly_a": poly_a.to_coeff_strings(),
+        "poly_b": poly_b.to_coeff_strings(),
+    }
+
+
+def test_ortho_deletion_min_fails_when_position_1_not_below():
+    spec = parse_spec("8,8/")
+    polys = {1: UniPoly([1, 3]), 2: UniPoly([1, 4]), 3: UniPoly([1, 2]), 4: UniPoly([1, 5])}
+    v = _ortho_deletion_min(spec, polys)
+    assert "position 1 not strictly below position 3" in v.detail
+    _assert_fail(v, 3, polys[1], polys[3])
+
+
+def test_meta_deletion_max_fails_when_deeper_position_not_below_2():
+    spec = parse_spec("8,8/")
+    polys = {1: UniPoly([1, 1]), 2: UniPoly([1, 4]), 3: UniPoly([1, 3]), 4: UniPoly([2, 3])}
+    v = _meta_deletion_max(spec, polys)
+    assert "position 4 not strictly below position 2" in v.detail
+    _assert_fail(v, 4, polys[4], polys[2])
+
+
+def test_psi_deletion_ordering_fails_when_out_of_order():
+    spec = parse_spec("8,8/")
+    # psi at position 1 ties position 2
+    low = {1: UniPoly([2, 3]), 2: UniPoly([1, 4]), 3: UniPoly([1, 3]), 4: UniPoly([1, 3])}
+    v = _psi_deletion_ordering(spec, low)
+    assert "psi at position 1 not below position 2" in v.detail
+    _assert_fail(v, 2, low[1], low[2])
+    # psi at position 3 above position 2, though the two are coefficientwise incomparable
+    high = {1: UniPoly([1, 1]), 2: UniPoly([1, 5]), 3: UniPoly([3, 4]), 4: UniPoly([1, 3])}
+    v = _psi_deletion_ordering(spec, high)
+    assert "psi at position 3 not below position 2" in v.detail
+    _assert_fail(v, 3, high[3], high[2])
 
 
 def test_merge_reports_first_failure():

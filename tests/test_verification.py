@@ -1,7 +1,7 @@
-"""Property-suite plumbing: trackers, enumeration helpers, result shapes."""
+"""Property-suite plumbing: results, enumeration helpers, result shapes."""
 
 from chaincacti.verification import (
-    _Tracker,
+    PropertyResult,
     all_specs,
     size_lists,
     verify_dominance,
@@ -10,23 +10,27 @@ from chaincacti.verification import (
 )
 
 
-def test_tracker_keeps_first_counterexample():
-    t = _Tracker("demo")
-    t.check(True, lambda: {"x": 1})
-    t.check(False, lambda: {"x": 2})
-    t.check(False, lambda: {"x": 3})
-    r = t.result("some detail")
+def test_property_result_keeps_first_counterexample():
+    r = PropertyResult("demo", "some detail")
+    r.check(True, lambda: {"x": 1})
+    r.check(False, lambda: {"x": 2})
+    r.check(False, lambda: {"x": 3})
     assert r.name == "demo"
     assert not r.passed
     assert r.checked == 3
     assert r.counterexample == {"x": 2}
-    assert r.to_json()["status"] == "fail"
+    assert r.to_json() == {
+        "name": "demo",
+        "status": "fail",
+        "checked": 3,
+        "detail": "some detail",
+        "counterexample": {"x": 2},
+    }
 
 
-def test_tracker_passing_result():
-    t = _Tracker("demo")
-    t.check(True, lambda: {"x": 1})
-    r = t.result()
+def test_property_result_passing():
+    r = PropertyResult("demo")
+    r.check(True, lambda: {"x": 1})
     assert r.passed and r.counterexample is None
     assert r.to_json()["status"] == "pass"
 
