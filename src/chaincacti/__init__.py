@@ -37,7 +37,6 @@ from .engine import (
     BRUTE_FORCE_CAP,
     TransferState,
     VertexCapError,
-    arc_poly,
     indpoly_bruteforce,
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
@@ -71,7 +70,6 @@ __all__ = [
     "VertexLabel",
     "alpha_meta",
     "alpha_ortho",
-    "arc_poly",
     "build",
     "count_mis_meta",
     "count_mis_ortho",

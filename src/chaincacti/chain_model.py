@@ -76,6 +76,11 @@ class ChainSpec:
         """Number of cycles n."""
         return len(self.cycle_sizes)
 
+    @property
+    def num_vertices(self) -> int:
+        """Vertex count of the chain: consecutive cycles share one vertex."""
+        return sum(self.cycle_sizes) - (self.length - 1)
+
     def to_text(self) -> str:
         """Render as ``h1,...,hn/k2,...,k(n-1)``; no slash when n <= 2."""
         sizes = ",".join(str(h) for h in self.cycle_sizes)

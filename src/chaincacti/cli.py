@@ -19,9 +19,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
-from .chain_model import ChainSpec, SpecError, VertexLabel, build, parse_spec, _parse_sizes
+from .chain_model import (
+    ChainSpec,
+    SpecError,
+    VertexLabel,
+    _parse_int,
+    _parse_sizes,
+    build,
+    parse_spec,
+)
 from .closed_forms import (
     alpha_meta,
     alpha_ortho,
@@ -54,22 +61,20 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-@dataclass
-class OutputEnvelope:
-    command: str
-    input: dict
-    result: dict
-    engine: str | None
-    elapsed_ms: int
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "result": self.result,
-            "engine": self.engine,
-            "elapsed_ms": self.elapsed_ms,
-        }
+def _envelope(
+    command: str, inputs: dict, result: dict, engine: str | None, started: float
+) -> str:
+    """JSON text of the output envelope; ``started`` is a perf_counter reading."""
+    return json.dumps(
+        {
+            "command": command,
+            "input": inputs,
+            "result": result,
+            "engine": engine,
+            "elapsed_ms": int((time.perf_counter() - started) * 1000),
+        },
+        indent=2,
+    )
 
 
 def _default_format(flag_value: str | None, choices: tuple[str, ...], fallback: str) -> str:
@@ -120,16 +125,9 @@ def _parse_labels(text: str, spec: ChainSpec) -> list[VertexLabel]:
         cycle_s, sep, pos_s = token.partition(":")
         if not sep:
             raise SpecError(f"bad label {token!r}, expected cycle:position")
-        cycle = spec.length if cycle_s.strip() == "n" else _as_int(cycle_s, "cycle")
-        labels.append(VertexLabel(cycle, _as_int(pos_s, "position")))
+        cycle = spec.length if cycle_s.strip() == "n" else _parse_int(cycle_s, "cycle")
+        labels.append(VertexLabel(cycle, _parse_int(pos_s, "position")))
     return labels
-
-
-def _as_int(token: str, what: str) -> int:
-    try:
-        return int(token.strip())
-    except ValueError as exc:
-        raise SpecError(f"bad {what} {token.strip()!r}") from exc
 
 
 # -- poly ----------------------------------------------------------------------
@@ -157,10 +155,10 @@ def cmd_poly(args: argparse.Namespace) -> int:
             poly = indpoly_recursive(build(spec))
         else:
             poly = indpoly_bruteforce(build(spec))
-        graph_vertices = sum(spec.cycle_sizes) - (spec.length - 1)
+        graph_vertices = spec.num_vertices
     elif engine == "transfer" and transfer_deletion:
         poly = indpoly_chain_minus_last_vertex(spec, deletions[0].position)
-        graph_vertices = sum(spec.cycle_sizes) - (spec.length - 1) - 1
+        graph_vertices = spec.num_vertices - 1
     else:
         g = build(spec).delete_vertices(deletions)
         if engine == "transfer":
@@ -191,14 +189,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
         payload["note"] = note
 
     if fmt == "json":
-        envelope = OutputEnvelope(
-            "poly",
-            {"spec": args.spec, "engine": args.engine, "delete": args.delete},
-            payload,
-            engine,
-            int((time.perf_counter() - started) * 1000),
-        )
-        print(json.dumps(envelope.to_json(), indent=2))
+        inputs = {"spec": args.spec, "engine": args.engine, "delete": args.delete}
+        print(_envelope("poly", inputs, payload, engine, started))
     else:
         print(f"spec: {spec.to_text()}  engine: {engine}")
         if deletions:
@@ -248,14 +240,8 @@ def cmd_closed(args: argparse.Namespace) -> int:
     payload["n"] = n
 
     if fmt == "json":
-        envelope = OutputEnvelope(
-            "closed",
-            {"family": family, "h": args.h, "n": n},
-            payload,
-            None,
-            int((time.perf_counter() - started) * 1000),
-        )
-        print(json.dumps(envelope.to_json(), indent=2))
+        inputs = {"family": family, "h": args.h, "n": n}
+        print(_envelope("closed", inputs, payload, None, started))
     else:
         where = f"h = {args.h}, n = {n}" if args.h is not None else f"n = {n}"
         print(f"family: {family}  ({where})")
@@ -275,18 +261,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if fmt == "csv":
         _emit(report.to_csv(), args.out)
     else:
-        envelope = OutputEnvelope(
-            "sweep",
-            {
-                "sizes": args.sizes,
-                "dedupe_reversal": args.dedupe_reversal,
-                "jobs": args.jobs,
-            },
-            report.to_json(),
-            "transfer",
-            int((time.perf_counter() - started) * 1000),
-        )
-        _emit(json.dumps(envelope.to_json(), indent=2), args.out)
+        inputs = {
+            "sizes": args.sizes,
+            "dedupe_reversal": args.dedupe_reversal,
+            "jobs": args.jobs,
+        }
+        _emit(_envelope("sweep", inputs, report.to_json(), "transfer", started), args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 
@@ -332,14 +312,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     all_passed = all(r.passed for r in results)
     if fmt == "json":
-        envelope = OutputEnvelope(
-            "verify",
-            {"suite": args.suite, "h": args.h, "n": args.n},
-            {"results": [r.to_json() for r in results], "all_passed": all_passed},
-            None,
-            int((time.perf_counter() - started) * 1000),
-        )
-        print(json.dumps(envelope.to_json(), indent=2))
+        inputs = {"suite": args.suite, "h": args.h, "n": args.n}
+        result = {"results": [r.to_json() for r in results], "all_passed": all_passed}
+        print(_envelope("verify", inputs, result, None, started))
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"

@@ -8,7 +8,8 @@
   i(G) = i(G - u) + x * i(G - N[u]) on a maximum-degree pivot, with
   component factorization and memoization; works on any graph.
 - ``indpoly_chain``: a left-to-right transfer scan that exploits the chain
-  structure; linear in the number of cycles.
+  structure: a start state times one cached 2x2 polynomial step matrix
+  M(h, k) per cycle; linear in the number of cycles.
 
 All three return exact integer-coefficient polynomials and must agree; the
 verification module checks that exhaustively at desk scale.
@@ -22,14 +23,19 @@ from typing import NamedTuple
 from .chain_model import ChainSpec, LabeledGraph, SpecError
 from .closed_forms import path_poly
 from .kernels import count_independent_sets
-from .polynomial import UniPoly
+from .polynomial import ONE, X, UniPoly
 
 #: Hard ceiling for brute-force enumeration.
 BRUTE_FORCE_CAP = 32
 
 
 class VertexCapError(ValueError):
-    """Brute-force request beyond the vertex ceiling."""
+    """A request beyond an engine's reach.
+
+    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, and for the
+    pivot recursion on a graph that needs more nested calls than the
+    interpreter's recursion limit allows.
+    """
 
 
 def _check_indpoly(p: UniPoly, num_vertices: int) -> UniPoly:
@@ -67,6 +73,8 @@ def indpoly_recursive(g: LabeledGraph) -> UniPoly:
     broken by smallest id.  Subgraphs are keyed by their surviving-vertex
     bitset; connected components are solved independently and multiplied.
     Coefficients are kept as plain lists internally and boxed once at the end.
+    The call depth grows with the graph; a graph that would pass the
+    interpreter's recursion limit is refused with a VertexCapError.
     """
     masks = g.adjacency_masks()
     nv = g.num_vertices
@@ -92,7 +100,14 @@ def indpoly_recursive(g: LabeledGraph) -> UniPoly:
         memo[sub] = result
         return result
 
-    return _check_indpoly(UniPoly(solve((1 << nv) - 1)), nv)
+    try:
+        counts = solve((1 << nv) - 1)
+    except RecursionError:
+        raise VertexCapError(
+            f"recursive engine exceeded the recursion limit on {nv} vertices; "
+            "use the transfer engine for long chains"
+        ) from None
+    return _check_indpoly(UniPoly(counts), nv)
 
 
 def _pivot(sub: int, masks: list[int]) -> int:
@@ -149,21 +164,6 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
 # -- transfer scan ----------------------------------------------------------
 
 
-def arc_poly(a: int, s: int, t: int) -> UniPoly:
-    """Weight of one arc of ``a`` interior vertices between two cut vertices.
-
-    s and t say whether the cut vertices at each end are in the independent
-    set; an occupied end forbids the adjacent interior vertex, so the arc
-    contributes i(P_{a-s-t}).  An empty arc with both ends occupied is the
-    impossible case (the cut vertices are adjacent): weight 0.
-    """
-    if a < 0:
-        raise ValueError(f"arc length {a} < 0")
-    if s not in (0, 1) or t not in (0, 1):
-        raise ValueError("endpoint occupancies must be 0 or 1")
-    return path_poly(a - s - t)
-
-
 class TransferState(NamedTuple):
     """Independence-polynomial mass of a chain prefix, split by its exit vertex.
 
@@ -177,26 +177,38 @@ class TransferState(NamedTuple):
     q: UniPoly
 
 
-def _initial_state(h: int) -> TransferState:
-    return TransferState(path_poly(h - 1), path_poly(h - 3).shift(1))
+#: The scan starts from the lone entry vertex of the first cycle.
+_START = TransferState(ONE, X)
 
 
-def _transition(state: TransferState, h: int, k: int) -> TransferState:
-    # Cross one internal cycle of size h whose exit sits at position k.
-    # The cycle contributes two arcs around entry and exit, of k-1 and
-    # h-k-1 interior vertices.
+@lru_cache(maxsize=None)
+def _step_matrix(h: int, k: int) -> tuple[UniPoly, UniPoly, UniPoly, UniPoly]:
+    # M(h, k) = [[pp, pq], [qp, qq]] for a cycle of size h entered at its
+    # position h and left at position k: entry pp weighs the sets that avoid
+    # both cut vertices, pq those that avoid the entry and take the exit, and
+    # so on.  The cycle's two arcs have a = k-1 and b = h-k-1 interior
+    # vertices; an occupied cut vertex forbids the arc vertex next to it, and
+    # path_poly(-2) = 0 rules out an empty arc between two occupied ends.
     a, b = k - 1, h - k - 1
+    pp = path_poly(a) * path_poly(b)
+    qp = path_poly(a - 1) * path_poly(b - 1)
+    qq = (path_poly(a - 2) * path_poly(b - 2)).shift(1)
+    return pp, qp.shift(1), qp, qq
+
+
+def _step(state: TransferState, h: int, k: int) -> TransferState:
+    # Cross one cycle of size h that is left at position k: state x M(h, k).
+    pp, pq, qp, qq = _step_matrix(h, k)
     p, q = state
-    p2 = p * arc_poly(a, 0, 0) * arc_poly(b, 0, 0) + q * arc_poly(a, 1, 0) * arc_poly(b, 1, 0)
-    q2 = (p * arc_poly(a, 0, 1) * arc_poly(b, 0, 1) + q * arc_poly(a, 1, 1) * arc_poly(b, 1, 1)).shift(1)
-    return TransferState(p2, q2)
+    return TransferState(p * pp + q * qp, p * pq + q * qq)
 
 
 @lru_cache(maxsize=4096)
 def _scan(spec: ChainSpec, through_cycle: int) -> TransferState:
-    state = _initial_state(spec.cycle_sizes[0])
-    for j in range(2, through_cycle + 1):
-        state = _transition(state, spec.cycle_sizes[j - 1], spec.positions[j - 2])
+    # The first cycle is left at position 1, internal cycle j at k_j.
+    state = _START
+    for h, k in zip(spec.cycle_sizes[:through_cycle], (1, *spec.positions)):
+        state = _step(state, h, k)
     return state
 
 
@@ -219,22 +231,16 @@ def indpoly_chain(spec: ChainSpec) -> UniPoly:
     n = spec.length
     if n < 1:
         raise SpecError("chain engine requires at least one cycle")
-    nv = sum(spec.cycle_sizes) - (n - 1)
-    if n == 1:
-        state = _initial_state(spec.cycle_sizes[0])
-        return _check_indpoly(state.p + state.q, nv)
-    state = transfer_state(spec, n - 1)
-    h = spec.cycle_sizes[-1]
-    result = state.p * path_poly(h - 1) + state.q * path_poly(h - 3)
-    return _check_indpoly(result, nv)
+    last = _step(_scan(spec, n - 1), spec.cycle_sizes[-1], 1)
+    return _check_indpoly(last.p + last.q, spec.num_vertices)
 
 
 def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     """Independence polynomial of the chain with vertex k of the last cycle removed.
 
     k runs over 1..h_n - 1 (position h_n is the cut vertex shared with the
-    previous cycle).  Removing v_k splits the last cycle into two arcs of
-    k-1 and h_n-1-k interior vertices around the remaining cut vertex.
+    previous cycle).  The sets of the chain that avoid v_k are the ``p``
+    half of the scan after the last cycle, left at position k.
     """
     n = spec.length
     if n < 2:
@@ -242,9 +248,5 @@ def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     h = spec.cycle_sizes[-1]
     if not 1 <= k <= h - 1:
         raise SpecError(f"deleted position {k} outside 1..{h - 1}")
-    state = transfer_state(spec, n - 1)
-    result = state.p * path_poly(k - 1) * path_poly(h - 1 - k) + state.q * path_poly(
-        k - 2
-    ) * path_poly(h - 2 - k)
-    nv = sum(spec.cycle_sizes) - (n - 1) - 1
-    return _check_indpoly(result, nv)
+    last = _step(_scan(spec, n - 1), h, k)
+    return _check_indpoly(last.p, spec.num_vertices - 1)

@@ -210,14 +210,6 @@ def _path_graph(n: int) -> LabeledGraph:
     )
 
 
-def _cycle_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(
-        n,
-        [(i, (i + 1) % n) for i in range(n)],
-        {VertexLabel(1, i + 1): i for i in range(n)},
-    )
-
-
 def _ones(h: int, n: int) -> ChainSpec:
     return ChainSpec((h,) * n, (1,) * max(n - 2, 0))
 
@@ -239,7 +231,7 @@ def verify_recurrences(
         )
     for n in range(3, 19):
         formulas.check(
-            cycle_poly(n) == indpoly_bruteforce(_cycle_graph(n)),
+            cycle_poly(n) == indpoly_bruteforce(build(ChainSpec((n,), ()))),
             lambda: {"family": "cycle", "n": n},
         )
 

@@ -92,6 +92,7 @@ def test_build_counts_vertices_and_edges():
         g = build(spec)
         n = spec.length
         assert g.num_vertices == sum(spec.cycle_sizes) - (n - 1)
+        assert spec.num_vertices == g.num_vertices
         assert g.num_edges == sum(spec.cycle_sizes)
 
 

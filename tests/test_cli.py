@@ -101,6 +101,14 @@ def test_poly_bruteforce_cap(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_recursive_engine_refuses_a_chain_too_deep_for_it(capsys):
+    # a thousand cycles take the pivot recursion past Python's recursion limit
+    spec = "3^1000/" + ",".join(["1"] * 998)
+    assert main(["poly", spec, "--engine", "recursive"]) == 3
+    err = capsys.readouterr().err
+    assert "2001 vertices" in err and "transfer engine" in err
+
+
 def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
     def broken(graph):
         raise RecursionError("too deep")

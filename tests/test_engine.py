@@ -19,11 +19,11 @@ from chaincacti.chain_model import (
     parse_spec,
     reversed_spec,
 )
-from chaincacti.closed_forms import cycle_poly, path_poly
+from chaincacti.closed_forms import cycle_poly, meta_recurrence_coeffs, path_poly
 from chaincacti.engine import (
     BRUTE_FORCE_CAP,
     VertexCapError,
-    arc_poly,
+    _step_matrix,
     indpoly_bruteforce,
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
@@ -80,18 +80,6 @@ def test_recursive_matches_bruteforce_on_random_graphs(data):
     edges = data.draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
     g = graph_from_edges(n, edges)
     assert indpoly_recursive(g) == indpoly_bruteforce(g)
-
-
-def test_arc_poly_values():
-    assert arc_poly(0, 1, 1) == UniPoly()
-    assert arc_poly(0, 1, 0) == UniPoly([1])
-    assert arc_poly(0, 0, 0) == UniPoly([1])
-    assert arc_poly(3, 0, 0) == UniPoly([1, 3, 1])
-    assert arc_poly(2, 1, 1) == UniPoly([1])
-    with pytest.raises(ValueError):
-        arc_poly(-1, 0, 0)
-    with pytest.raises(ValueError):
-        arc_poly(2, 2, 0)
 
 
 def test_chain_engine_on_single_cycles():
@@ -170,6 +158,21 @@ def test_transfer_state_counts_prefix_sets_by_exit_occupancy(text):
         assert state.q == minus_hood.shift(1)
         assert state.q.coefficient(0) == 0
         assert state.p + state.q == indpoly_bruteforce(prefix)
+
+
+def test_step_matrix_trace_and_determinant_are_the_recurrence_coefficients():
+    # Cayley-Hamilton: along a uniform chain s_n = tr(M) s_{n-1} - det(M) s_{n-2},
+    # so M(h, 1) must reproduce the ortho and M(h, 2) the meta recurrence.
+    for h in range(3, 30):
+        pp, pq, qp, qq = _step_matrix(h, 1)
+        side = path_poly(h - 3)
+        assert pp + qq == path_poly(h - 2)
+        assert pp * qq - pq * qp == -(side * side).shift(1)
+        if h >= 4:
+            a, b = meta_recurrence_coeffs(h)
+            pp, pq, qp, qq = _step_matrix(h, 2)
+            assert pp + qq == a
+            assert pp * qq - pq * qp == b.shift(2)
 
 
 def test_transfer_state_bounds():
