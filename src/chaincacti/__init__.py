@@ -15,6 +15,7 @@ from .chain_model import (
     SpecError,
     VertexLabel,
     build,
+    count_specs,
     enumerate_specs,
     parse_spec,
     reversed_spec,
@@ -42,6 +43,7 @@ from .engine import (
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
     transfer_state,
+    walk_chains,
 )
 from .extremal import (
     SweepEntry,
@@ -73,6 +75,7 @@ __all__ = [
     "build",
     "count_mis_meta",
     "count_mis_ortho",
+    "count_specs",
     "cycle_poly",
     "deletion_verdicts",
     "dominance",
@@ -91,5 +94,6 @@ __all__ = [
     "reversed_spec",
     "sweep",
     "transfer_state",
+    "walk_chains",
     "__version__",
 ]

@@ -14,6 +14,7 @@ convention (a single cut vertex makes all choices isomorphic).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -162,6 +163,28 @@ def reversed_spec(spec: ChainSpec) -> ChainSpec:
     return ChainSpec(spec.cycle_sizes[::-1], spec.positions[::-1])
 
 
+def all_ones_spec(cycle_sizes: Sequence[int]) -> ChainSpec:
+    """The chain with every internal position 1 over a size list.
+
+    It exists for every valid size list, so building it checks the sizes
+    before an empty position range can hide a bad one.
+    """
+    sizes = tuple(cycle_sizes)
+    if not sizes:
+        raise SpecError("need at least one cycle")
+    return ChainSpec(sizes, (1,) * max(len(sizes) - 2, 0))
+
+
+def count_specs(cycle_sizes: Sequence[int]) -> int:
+    """How many chains ``enumerate_specs`` yields without reversal dedupe.
+
+    The product of floor(h/2) over the internal cycles, found without
+    enumerating; the sizes are checked as ``enumerate_specs`` checks them.
+    """
+    sizes = all_ones_spec(cycle_sizes).cycle_sizes
+    return math.prod(h // 2 for h in sizes[1:-1])
+
+
 def enumerate_specs(
     cycle_sizes: Sequence[int], dedupe_reversal: bool = False
 ) -> Iterator[ChainSpec]:
@@ -170,12 +193,7 @@ def enumerate_specs(
     With ``dedupe_reversal`` and a palindromic size list, only the smaller of
     each {positions, reversed positions} pair is emitted.
     """
-    sizes = tuple(cycle_sizes)
-    if not sizes:
-        raise SpecError("need at least one cycle")
-    # The all-ones chain exists for every valid size list, so building it
-    # checks the sizes before an empty position range can hide a bad one.
-    ChainSpec(sizes, (1,) * max(len(sizes) - 2, 0))
+    sizes = all_ones_spec(cycle_sizes).cycle_sizes
     palindrome = sizes == sizes[::-1]
     ranges = [range(1, h // 2 + 1) for h in sizes[1 : len(sizes) - 1]]
     for pos in itertools.product(*ranges):

@@ -361,7 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="all canonical position sequences for a size list")
     s.add_argument("sizes", help='cycle sizes, e.g. "6,6,6" or "6^5"')
     s.add_argument("--dedupe-reversal", action="store_true")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (at least 1), one per first-position subtree at most",
+    )
     s.add_argument("--format", choices=("json", "csv"))
     s.add_argument("--out", metavar="FILE")
     s.set_defaults(func=cmd_sweep)

@@ -9,7 +9,8 @@
   component factorization and memoization; works on any graph.
 - ``indpoly_chain``: a left-to-right transfer scan that exploits the chain
   structure: a start state times one cached 2x2 polynomial step matrix
-  M(h, k) per cycle; linear in the number of cycles.
+  M(h, k) per cycle; linear in the number of cycles.  ``walk_chains`` runs
+  the same scan over every chain of a size list, one step per shared prefix.
 
 All three return exact integer-coefficient polynomials and must agree; the
 verification module checks that exhaustively at desk scale.
@@ -18,9 +19,9 @@ verification module checks that exhaustively at desk scale.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .chain_model import ChainSpec, LabeledGraph, SpecError
+from .chain_model import ChainSpec, LabeledGraph, SpecError, all_ones_spec
 from .closed_forms import path_poly
 from .kernels import count_independent_sets
 from .polynomial import ONE, X, UniPoly
@@ -32,9 +33,10 @@ BRUTE_FORCE_CAP = 32
 class VertexCapError(ValueError):
     """A request beyond an engine's reach.
 
-    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, and for the
-    pivot recursion on a graph that needs more nested calls than the
-    interpreter's recursion limit allows.
+    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, for the pivot
+    recursion on a graph that needs more nested calls than the interpreter's
+    recursion limit allows, and for a sweep past ``extremal.SWEEP_CAP``
+    chains.
     """
 
 
@@ -226,13 +228,34 @@ def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
     return _scan(spec, through_cycle)
 
 
+def _deletion(state: TransferState, h: int, k: int) -> UniPoly:
+    # The p column of the last step: the chain's sets that avoid v_k.  The q
+    # column (the sets that take v_k) is not needed, so it is not computed.
+    pp, _, qp, _ = _step_matrix(h, k)
+    return state.p * pp + state.q * qp
+
+
+def _close(
+    state: TransferState, h: int, num_vertices: int, top: int
+) -> tuple[UniPoly, tuple[UniPoly, ...]]:
+    # Close a chain whose prefix state before its last cycle (size h) is
+    # ``state``: its polynomial and i(A - v_k) for k = 1..top.  The chain's
+    # sets either avoid v_1 or take it, so the k = 1 deletion is reused.
+    deletions = tuple(
+        _check_indpoly(_deletion(state, h, k), num_vertices - 1)
+        for k in range(1, top + 1)
+    )
+    _, pq, _, qq = _step_matrix(h, 1)
+    chain = deletions[0] + state.p * pq + state.q * qq
+    return _check_indpoly(chain, num_vertices), deletions
+
+
 def indpoly_chain(spec: ChainSpec) -> UniPoly:
     """Independence polynomial of a chain cactus by the transfer scan."""
     n = spec.length
     if n < 1:
         raise SpecError("chain engine requires at least one cycle")
-    last = _step(_scan(spec, n - 1), spec.cycle_sizes[-1], 1)
-    return _check_indpoly(last.p + last.q, spec.num_vertices)
+    return _close(_scan(spec, n - 1), spec.cycle_sizes[-1], spec.num_vertices, 1)[0]
 
 
 def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
@@ -248,5 +271,47 @@ def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     h = spec.cycle_sizes[-1]
     if not 1 <= k <= h - 1:
         raise SpecError(f"deleted position {k} outside 1..{h - 1}")
-    last = _step(_scan(spec, n - 1), h, k)
-    return _check_indpoly(last.p, spec.num_vertices - 1)
+    return _check_indpoly(_deletion(_scan(spec, n - 1), h, k), spec.num_vertices - 1)
+
+
+def walk_chains(
+    cycle_sizes: Sequence[int], dedupe_reversal: bool = False, first: int | None = None
+) -> Iterator[tuple[tuple[int, ...], UniPoly, tuple[UniPoly, ...]]]:
+    """Every canonical chain over a size list, closed by the transfer scan.
+
+    Yields ``(positions, i(A), (i(A - v_1), ..., i(A - v_m)))`` with
+    m = floor(h_n/2), for the chains ``enumerate_specs`` yields, in its order
+    and with its reversal dedupe.  The walk is depth first over the trie of
+    internal positions: each node's state is one step from its parent's, so
+    a prefix shared by many chains is scanned once.  It keeps an explicit
+    stack, so chain length is not bounded by the recursion limit.  ``first``
+    restricts the walk to the chains whose first internal position is
+    ``first``, which lets a sweep split the trie between processes.
+    """
+    ones = all_ones_spec(cycle_sizes)
+    sizes, num_vertices = ones.cycle_sizes, ones.num_vertices
+    n, h_last = len(sizes), sizes[-1]
+    internal = sizes[1 : n - 1]
+    palindrome = dedupe_reversal and sizes == sizes[::-1]
+    if first is not None and not (internal and 1 <= first <= internal[0] // 2):
+        raise SpecError(f"first position {first} outside the size list's range")
+    path = [0] * len(internal)
+    # (depth, position on cycle depth + 1, parent state); the root is the
+    # state after the first cycle, or the lone entry vertex when n = 1.
+    stack = [(0, 0, _START if n == 1 else _step(_START, sizes[0], 1))]
+    while stack:
+        depth, k, state = stack.pop()
+        if depth:
+            path[depth - 1] = k
+            state = _step(state, internal[depth - 1], k)
+        if depth < len(internal):
+            # Pushed largest first, so the children pop in lexicographic order.
+            children = range(internal[depth] // 2, 0, -1)
+            if depth == 0 and first is not None:
+                children = (first,)
+            stack.extend((depth + 1, pos, state) for pos in children)
+            continue
+        positions = tuple(path)
+        if palindrome and positions[::-1] < positions:
+            continue
+        yield (positions, *_close(state, h_last, num_vertices, h_last // 2))

@@ -14,12 +14,18 @@ from __future__ import annotations
 import csv
 import io
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .chain_model import ChainSpec, SpecError, enumerate_specs
-from .engine import indpoly_chain, indpoly_chain_minus_last_vertex
+from .chain_model import ChainSpec, SpecError, count_specs
+from .engine import VertexCapError, indpoly_chain_minus_last_vertex, walk_chains
 from .polynomial import Dominance, UniPoly, dominance
+
+
+#: Most chains one sweep may cover, 8^11: an 8^10 sweep (65,536 chains)
+#: peaked at 274 MB, so this keeps a sweep near 1 GB.
+SWEEP_CAP = 262_144
 
 
 @dataclass
@@ -56,24 +62,28 @@ def _poly_pair(spec: ChainSpec, k: int, a: UniPoly, b: UniPoly) -> dict:
     }
 
 
-def deletion_verdicts(spec: ChainSpec) -> tuple[Verdict, Verdict, Verdict]:
+def deletion_verdicts(
+    spec: ChainSpec, polys: Sequence[UniPoly] | None = None
+) -> tuple[Verdict, Verdict, Verdict]:
     """The three last-cycle deletion verdicts of one chain.
 
-    Computes i(A - v_k) once for each canonical position k in
-    1..floor(h_n/2) and judges, in this order: position 1 is the strict
-    minimum, position 2 the strict maximum of the deeper positions, and the
-    psi ordering.  Requires n >= 2.
+    Judges i(A - v_k) for the canonical positions k in 1..floor(h_n/2), in
+    this order: position 1 is the strict minimum, position 2 the strict
+    maximum of the deeper positions, and the psi ordering.  ``polys`` holds
+    those polynomials in k order when the caller has them already (the chain
+    walk does); otherwise each is computed once.  Requires n >= 2.
     """
     if spec.length < 2:
         raise SpecError("deletion comparisons require n >= 2")
-    h = spec.cycle_sizes[-1]
-    polys = {
-        k: indpoly_chain_minus_last_vertex(spec, k) for k in range(1, h // 2 + 1)
-    }
+    if polys is None:
+        h = spec.cycle_sizes[-1]
+        by_k = {k: indpoly_chain_minus_last_vertex(spec, k) for k in range(1, h // 2 + 1)}
+    else:
+        by_k = dict(enumerate(polys, start=1))
     return (
-        _ortho_deletion_min(spec, polys),
-        _meta_deletion_max(spec, polys),
-        _psi_deletion_ordering(spec, polys),
+        _ortho_deletion_min(spec, by_k),
+        _meta_deletion_max(spec, by_k),
+        _psi_deletion_ordering(spec, by_k),
     )
 
 
@@ -190,16 +200,20 @@ class SweepReport:
         return buf.getvalue()
 
 
-def _sweep_one(spec: ChainSpec) -> tuple[SweepEntry, tuple[Verdict, ...]]:
-    poly = indpoly_chain(spec)
-    deg, lead = poly.degree_and_leading()
-    entry = SweepEntry(spec.positions, poly.eval_at_one(), deg, lead)
-    if spec.length >= 2:
-        checks = deletion_verdicts(spec)
-    else:
-        vac = Verdict("vacuous", "requires n >= 2")
-        checks = (vac, vac, vac)
-    return entry, checks
+def _sweep_subtree(
+    sizes: tuple[int, ...], dedupe_reversal: bool, first: int | None
+) -> list[tuple[SweepEntry, tuple[Verdict, ...]]]:
+    results = []
+    for positions, poly, deletions in walk_chains(sizes, dedupe_reversal, first):
+        deg, lead = poly.degree_and_leading()
+        entry = SweepEntry(positions, poly.eval_at_one(), deg, lead)
+        if len(sizes) >= 2:
+            checks = deletion_verdicts(ChainSpec(sizes, positions), deletions)
+        else:
+            vac = Verdict("vacuous", "requires n >= 2")
+            checks = (vac, vac, vac)
+        results.append((entry, checks))
+    return results
 
 
 def _merge(verdicts: Sequence[Verdict]) -> Verdict:
@@ -224,14 +238,29 @@ def sweep(
     dominance checks over all enumerated chains and test that the all-ones
     sequence is the unique strict psi-minimum and the all-twos sequence (when
     it exists) the unique strict maximum.
+
+    The chains come from one walk of the position trie.  With ``jobs`` > 1
+    the walk is split at the first internal position, one subtree per task,
+    over at most ``jobs`` processes, one per subtree and one per CPU.  More
+    than ``SWEEP_CAP`` chains are refused before any work starts.
     """
+    if jobs < 1:
+        raise SpecError(f"jobs must be at least 1, got {jobs}")
     sizes = tuple(cycle_sizes)
-    specs = list(enumerate_specs(sizes, dedupe_reversal))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_one, specs)
+    count = count_specs(sizes)
+    if count > SWEEP_CAP:
+        raise VertexCapError(
+            f"sweep over {count} chains exceeds the cap of {SWEEP_CAP} chains"
+        )
+    subtrees = sizes[1] // 2 if len(sizes) >= 3 else 1
+    workers = min(jobs, subtrees, os.cpu_count() or 1)
+    if workers > 1:
+        tasks = [(sizes, dedupe_reversal, k) for k in range(1, subtrees + 1)]
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.starmap(_sweep_subtree, tasks)
+        results = [r for part in parts for r in part]
     else:
-        results = [_sweep_one(s) for s in specs]
+        results = _sweep_subtree(sizes, dedupe_reversal, None)
 
     entries = [entry for entry, _ in results]
     verdicts = {

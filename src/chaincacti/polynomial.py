@@ -11,6 +11,7 @@ are produced, not here.
 from __future__ import annotations
 
 import enum
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 
@@ -163,11 +164,12 @@ def dominance(a: UniPoly, b: UniPoly) -> Dominance:
     """
     if a.coeffs == b.coeffs:
         return Dominance.EQUAL
-    n = max(len(a.coeffs), len(b.coeffs))
-    a_le_b = all(a.coefficient(k) <= b.coefficient(k) for k in range(n))
-    if a_le_b:
-        return Dominance.STRICTLY_DOMINATED
-    b_le_a = all(b.coefficient(k) <= a.coefficient(k) for k in range(n))
-    if b_le_a:
-        return Dominance.STRICTLY_DOMINATES
-    return Dominance.INCOMPARABLE
+    a_le_b = b_le_a = True
+    for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0):
+        if x < y:
+            b_le_a = False
+        elif y < x:
+            a_le_b = False
+        if not (a_le_b or b_le_a):
+            return Dominance.INCOMPARABLE
+    return Dominance.STRICTLY_DOMINATED if a_le_b else Dominance.STRICTLY_DOMINATES

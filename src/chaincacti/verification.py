@@ -46,6 +46,7 @@ from .engine import (
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
     transfer_state,
+    walk_chains,
 )
 from .extremal import deletion_verdicts
 from .kernels import count_independent_sets
@@ -335,12 +336,14 @@ def verify_dominance(
     vacuous = [0, 0, 0]
 
     ns = [n for n in n_values if n >= 2]
-    for spec in all_specs(h_values, ns):
-        for i, verdict in enumerate(deletion_verdicts(spec)):
-            if verdict.status == "vacuous":
-                vacuous[i] += 1
-                continue
-            results[i].check(verdict.ok, lambda: verdict.counterexample)
+    for sizes in size_lists(h_values, ns):
+        for positions, _, deletions in walk_chains(sizes):
+            spec = ChainSpec(sizes, positions)
+            for i, verdict in enumerate(deletion_verdicts(spec, deletions)):
+                if verdict.status == "vacuous":
+                    vacuous[i] += 1
+                    continue
+                results[i].check(verdict.ok, lambda: verdict.counterexample)
 
     for result, skipped in zip(results, vacuous):
         result.detail = f"{skipped} vacuous chain(s) skipped"

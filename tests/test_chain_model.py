@@ -10,6 +10,7 @@ from chaincacti.chain_model import (
     SpecError,
     VertexLabel,
     build,
+    count_specs,
     enumerate_specs,
     parse_spec,
     reversed_spec,
@@ -199,6 +200,16 @@ def test_enumerate_specs_reversal_dedupe():
         assert spec.positions in kept or spec.positions[::-1] in kept
     # a non-palindromic size list is left alone
     assert len(list(enumerate_specs([5, 6, 7], dedupe_reversal=True))) == 3
+
+
+def test_count_specs_matches_enumeration():
+    for sizes in [(6,), (6, 6), (3, 3, 3, 3), (6, 6, 6), (5, 6, 7, 6), (8, 3, 4, 5)]:
+        assert count_specs(sizes) == len(list(enumerate_specs(sizes)))
+    assert count_specs([12] * 12) == 6**10
+    with pytest.raises(SpecError, match="cycle size 1 < 3 at cycle 2"):
+        count_specs([6, 1, 6])
+    with pytest.raises(SpecError, match="need at least one cycle"):
+        count_specs([])
 
 
 def test_reversed_spec_round_trips():

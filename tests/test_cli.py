@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,28 @@ def test_sweep_parallel(capsys):
     code, payload = run_json(capsys, ["sweep", "6,6,6", "--jobs", "2"])
     assert code == 0
     assert payload["result"]["min"]["psi"] == "2002"
+
+
+def test_sweep_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "6,6,6", "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_echoes_the_jobs_it_was_given(capsys, monkeypatch):
+    # a pool of 64 is never started: the sweep sizes it by subtrees and CPUs
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    code, payload = run_json(capsys, ["sweep", "6,6,6", "--jobs", "64"])
+    assert code == 0
+    assert payload["input"]["jobs"] == 64
+
+
+def test_sweep_past_the_cap_exits_3_at_once(capsys):
+    started = time.perf_counter()
+    assert main(["sweep", "12^12"]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "60466176 chains" in err and "cap of 262144" in err
 
 
 def test_verify_text(capsys):

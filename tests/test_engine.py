@@ -1,5 +1,6 @@
 """The three engines against each other and against the subset-filter oracle."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -23,12 +24,15 @@ from chaincacti.closed_forms import cycle_poly, meta_recurrence_coeffs, path_pol
 from chaincacti.engine import (
     BRUTE_FORCE_CAP,
     VertexCapError,
+    _scan,
+    _step,
     _step_matrix,
     indpoly_bruteforce,
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
     transfer_state,
+    walk_chains,
 )
 from chaincacti.polynomial import UniPoly
 
@@ -173,6 +177,48 @@ def test_step_matrix_trace_and_determinant_are_the_recurrence_coefficients():
             pp, pq, qp, qq = _step_matrix(h, 2)
             assert pp + qq == a
             assert pp * qq - pq * qp == b.shift(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_matches_the_per_chain_scan_and_the_recursive_engine(n):
+    # Slow oracles for the walk's fast path: the per-spec scan for the chain,
+    # the full last step's p half for each deletion and, on small graphs,
+    # the pivot recursion on the chain with vertex (n, k) removed.
+    for sizes in itertools.product(range(3, 9), repeat=n):
+        specs = list(enumerate_specs(sizes))
+        leaves = list(walk_chains(sizes))
+        assert [positions for positions, _, _ in leaves] == [s.positions for s in specs]
+        h = sizes[-1]
+        for spec, (_, poly, deletions) in zip(specs, leaves):
+            assert poly == indpoly_chain(spec)
+            assert len(deletions) == h // 2
+            state = _scan(spec, n - 1)
+            for k, deleted in enumerate(deletions, start=1):
+                assert deleted == _step(state, h, k).p
+            if spec.num_vertices <= 20:
+                g = build(spec)
+                for k, deleted in enumerate(deletions, start=1):
+                    assert deleted == indpoly_recursive(g.delete_vertices([VertexLabel(n, k)]))
+        by_positions = {positions: leaf for positions, *leaf in leaves}
+        deduped = list(walk_chains(sizes, dedupe_reversal=True))
+        kept = [s.positions for s in enumerate_specs(sizes, dedupe_reversal=True)]
+        assert [positions for positions, _, _ in deduped] == kept
+        for positions, *leaf in deduped:
+            assert leaf == by_positions[positions]
+
+
+def test_walk_subtrees_concatenate_to_the_whole_walk():
+    sizes = (6, 8, 5, 6)
+    whole = list(walk_chains(sizes))
+    parts = [leaf for k in range(1, 5) for leaf in walk_chains(sizes, first=k)]
+    assert parts == whole
+    for bad in (0, 5):
+        with pytest.raises(SpecError):
+            list(walk_chains(sizes, first=bad))
+    with pytest.raises(SpecError):
+        list(walk_chains((6, 6), first=1))
+    with pytest.raises(SpecError, match="cycle size 2 < 3"):
+        list(walk_chains((6, 2, 6)))
 
 
 def test_transfer_state_bounds():

@@ -1,12 +1,16 @@
 """Dominance verdicts and position sweeps."""
 
 import json
+import time
 
 import pytest
 
 import chaincacti.extremal as extremal
-from chaincacti.chain_model import ChainSpec, SpecError, parse_spec
+from chaincacti.chain_model import ChainSpec, SpecError, count_specs, parse_spec
+from chaincacti.closed_forms import ortho_poly
+from chaincacti.engine import VertexCapError
 from chaincacti.extremal import (
+    SWEEP_CAP,
     SweepEntry,
     Verdict,
     _extremality_verdict,
@@ -66,6 +70,12 @@ def test_deletion_verdicts_compute_each_position_once(monkeypatch):
         deletion_verdicts(spec)
         h = spec.cycle_sizes[-1]
         assert calls == [(spec, k) for k in range(1, h // 2 + 1)]
+        # deletions handed in by the chain walk are judged, not recomputed
+        calls.clear()
+        given = [UniPoly([1, k]) for k in range(1, h // 2 + 1)]
+        judged = deletion_verdicts(spec, given)
+        assert calls == []
+        assert judged == deletion_verdicts(spec)
 
 
 def _assert_fail(verdict, k, poly_a, poly_b):
@@ -243,3 +253,76 @@ def test_sweep_json_schema():
     }
     for verdict in payload["verdicts"].values():
         assert set(verdict) == {"status", "detail", "counterexample"}
+
+
+def test_sweep_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(SpecError, match="jobs"):
+            sweep([6, 6, 6], jobs=jobs)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, tasks):
+        return [fn(*task) for task in tasks]
+
+
+@pytest.mark.parametrize(
+    "sizes, jobs, cpus, expected",
+    [
+        ([6, 6, 6, 6], 64, 8, 3),  # capped by the three first-position subtrees
+        ([8, 8, 8, 8], 64, 2, 2),  # capped by the CPU count
+        ([8, 8, 8, 8], 3, 8, 3),  # the requested jobs
+        ([6, 3, 6, 6], 4, 8, None),  # one subtree: no pool at all
+        ([6, 6], 4, 8, None),  # no internal position to split on
+    ],
+)
+def test_sweep_pool_size(monkeypatch, sizes, jobs, cpus, expected):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(extremal.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: cpus)
+    report = sweep(sizes, jobs=jobs)
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    serial = sweep(sizes)
+    assert [e.to_json() for e in report.entries] == [e.to_json() for e in serial.entries]
+    assert report.to_json() == serial.to_json()
+
+
+def test_sweep_cap_is_eight_to_the_eleven():
+    assert count_specs([8] * 11) == SWEEP_CAP
+    assert count_specs([8] * 12) == 4 * SWEEP_CAP
+
+
+def test_sweep_runs_at_the_cap_and_refuses_one_past_it(monkeypatch):
+    monkeypatch.setattr(extremal, "SWEEP_CAP", 9)
+    assert len(sweep([6, 6, 6, 6]).entries) == 9
+    with pytest.raises(VertexCapError, match="27 chains exceeds the cap of 9"):
+        sweep([6, 6, 6, 6, 6], dedupe_reversal=True)
+
+
+def test_sweep_refuses_past_the_cap_before_any_work():
+    started = time.perf_counter()
+    with pytest.raises(VertexCapError, match=f"60466176 chains exceeds the cap of {SWEEP_CAP}"):
+        sweep([12] * 12)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_sweep_walks_chains_past_the_recursion_limit():
+    # 1,100 cycles: a recursive walk of the position trie would pass the
+    # interpreter's default recursion limit of 1,000
+    report = sweep([3] * 1100)
+    assert len(report.entries) == 1
+    assert report.entries[0].psi == ortho_poly(3, 1100).eval_at_one()
+    assert report.all_ok

@@ -150,3 +150,17 @@ def test_dominance_is_antisymmetric(a, b):
 def test_strict_dominance_implies_smaller_psi(a, b):
     if dominance(a, b) is Dominance.STRICTLY_DOMINATED:
         assert a.eval_at_one() < b.eval_at_one()
+
+
+@given(polys, polys)
+def test_dominance_matches_the_padded_definition(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    le = all(a.coefficient(k) <= b.coefficient(k) for k in range(n))
+    ge = all(b.coefficient(k) <= a.coefficient(k) for k in range(n))
+    expected = {
+        (True, True): Dominance.EQUAL,
+        (True, False): Dominance.STRICTLY_DOMINATED,
+        (False, True): Dominance.STRICTLY_DOMINATES,
+        (False, False): Dominance.INCOMPARABLE,
+    }[le, ge]
+    assert dominance(a, b) is expected
