@@ -207,8 +207,6 @@ def cmd_closed(args: argparse.Namespace) -> int:
     fmt = _default_format(args.format, ("text", "json"), "text")
     family = args.family
     n = args.n
-    if n is None:
-        raise SpecError("--n is required")
 
     if family == "path":
         poly = path_poly(n)

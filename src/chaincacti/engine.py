@@ -6,7 +6,8 @@
   other two are measured against.
 - ``indpoly_recursive``: the generic deletion identity
   i(G) = i(G - u) + x * i(G - N[u]) on a maximum-degree pivot, with
-  component factorization and memoization; works on any graph.
+  component factorization and memoization, on an explicit stack; works on
+  any graph.
 - ``indpoly_chain``: a left-to-right transfer scan that exploits the chain
   structure: a start state times one cached 2x2 polynomial step matrix
   M(h, k) per cycle; linear in the number of cycles.  ``walk_chains`` runs
@@ -33,10 +34,8 @@ BRUTE_FORCE_CAP = 32
 class VertexCapError(ValueError):
     """A request beyond an engine's reach.
 
-    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, for the pivot
-    recursion on a graph that needs more nested calls than the interpreter's
-    recursion limit allows, and for a sweep past ``extremal.SWEEP_CAP``
-    chains.
+    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices and for a sweep
+    past ``extremal.SWEEP_CAP`` chains.
     """
 
 
@@ -75,41 +74,40 @@ def indpoly_recursive(g: LabeledGraph) -> UniPoly:
     broken by smallest id.  Subgraphs are keyed by their surviving-vertex
     bitset; connected components are solved independently and multiplied.
     Coefficients are kept as plain lists internally and boxed once at the end.
-    The call depth grows with the graph; a graph that would pass the
-    interpreter's recursion limit is refused with a VertexCapError.
+    The recursion runs on an explicit stack, so the depth of a graph's pivot
+    tree is not bounded by the interpreter's recursion limit.
     """
     masks = g.adjacency_masks()
     nv = g.num_vertices
-    memo: dict[int, list[int]] = {}
-
-    def solve(sub: int) -> list[int]:
-        if sub == 0:
-            return [1]
-        cached = memo.get(sub)
-        if cached is not None:
-            return cached
-        comps = _components(sub, masks)
-        if len(comps) > 1:
+    memo: dict[int, list[int]] = {0: [1]}
+    # (subgraph, its parts once split, whether the parts are components); a
+    # frame is pushed back under its parts and combined once they are solved.
+    stack: list[tuple[int, tuple[int, ...], bool]] = [((1 << nv) - 1, (), False)]
+    while stack:
+        sub, parts, split = stack.pop()
+        if sub in memo:
+            continue
+        if not parts:
+            comps = _components(sub, masks)
+            split = len(comps) > 1
+            if split:
+                parts = tuple(comps)
+            else:
+                v = _pivot(sub, masks)
+                bit = 1 << v
+                parts = (sub & ~bit, sub & ~(masks[v] | bit))
+            stack.append((sub, parts, split))
+            stack.extend((part, (), False) for part in parts if part not in memo)
+            continue
+        if split:
             result = [1]
-            for comp in comps:
-                result = _mul(result, solve(comp))
+            for comp in parts:
+                result = _mul(result, memo[comp])
         else:
-            v = _pivot(sub, masks)
-            bit = 1 << v
-            without = solve(sub & ~bit)
-            closed = solve(sub & ~(masks[v] | bit))
-            result = _add(without, [0] + closed)
+            without, closed = parts
+            result = _add(memo[without], [0] + memo[closed])
         memo[sub] = result
-        return result
-
-    try:
-        counts = solve((1 << nv) - 1)
-    except RecursionError:
-        raise VertexCapError(
-            f"recursive engine exceeded the recursion limit on {nv} vertices; "
-            "use the transfer engine for long chains"
-        ) from None
-    return _check_indpoly(UniPoly(counts), nv)
+    return _check_indpoly(UniPoly(memo[(1 << nv) - 1]), nv)
 
 
 def _pivot(sub: int, masks: list[int]) -> int:

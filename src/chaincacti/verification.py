@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .chain_model import (
     ChainSpec,
@@ -49,7 +49,7 @@ from .engine import (
     walk_chains,
 )
 from .extremal import deletion_verdicts
-from .kernels import count_independent_sets
+from .kernels import subset_counter
 from .polynomial import UniPoly
 
 
@@ -168,33 +168,22 @@ def verify_engines(
     return [agreement, counts, reversal, mirror, prefix, identity]
 
 
-def _masks_without(masks: list[int], drop: int) -> list[int]:
-    keep = [v for v in range(len(masks)) if not drop >> v & 1]
-    index = {v: i for i, v in enumerate(keep)}
-    out = []
-    for v in keep:
-        m = masks[v] & ~drop
-        packed = 0
-        while m:
-            low = m & -m
-            packed |= 1 << index[low.bit_length() - 1]
-            m ^= low
-        out.append(packed)
-    return out
-
-
 def _check_deletion_identity(
     g: LabeledGraph, spec: ChainSpec, result: PropertyResult
 ) -> None:
-    """i(G) = i(G - v) + x * i(G - N[v]) and psi strictly drops per vertex."""
+    """i(G) = i(G - v) + x * i(G - N[v]) and psi strictly drops per vertex.
+
+    All 2V + 1 subsets are counted over one memo; every vertex but the lowest
+    checks that memo against a branching order the kernel does not use.
+    """
     masks = g.adjacency_masks()
-    whole = UniPoly(count_independent_sets(masks))
+    count = subset_counter(masks)
+    full = (1 << g.num_vertices) - 1
+    whole = UniPoly(count(full))
     psi = whole.eval_at_one()
     for v in range(g.num_vertices):
-        without_v = UniPoly(count_independent_sets(_masks_without(masks, 1 << v)))
-        without_nbhd = UniPoly(
-            count_independent_sets(_masks_without(masks, masks[v] | 1 << v))
-        )
+        without_v = UniPoly(count(full & ~(1 << v)))
+        without_nbhd = UniPoly(count(full & ~(masks[v] | 1 << v)))
         ok = (
             whole == without_v + without_nbhd.shift(1)
             and without_v.eval_at_one() < psi

@@ -102,12 +102,17 @@ def test_poly_bruteforce_cap(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_recursive_engine_refuses_a_chain_too_deep_for_it(capsys):
-    # a thousand cycles take the pivot recursion past Python's recursion limit
+def test_recursive_engine_computes_a_chain_past_the_recursion_limit(capsys):
+    # a thousand triangles: 2,001 vertices, a pivot tree deeper than the
+    # interpreter's default recursion limit
     spec = "3^1000/" + ",".join(["1"] * 998)
-    assert main(["poly", spec, "--engine", "recursive"]) == 3
-    err = capsys.readouterr().err
-    assert "2001 vertices" in err and "transfer engine" in err
+    code, rec = run_json(capsys, ["poly", spec, "--engine", "recursive", "--format", "json"])
+    assert code == 0
+    assert rec["engine"] == "recursive"
+    code, transfer = run_json(capsys, ["poly", spec, "--no-crosscheck", "--format", "json"])
+    assert code == 0
+    assert rec["result"]["coefficients"] == transfer["result"]["coefficients"]
+    assert rec["result"]["coefficients"][1] == "2001"
 
 
 def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The three engines against each other and against the subset-filter oracle."""
 
+import inspect
 import itertools
 import os
 import random
@@ -74,6 +75,20 @@ def test_recursive_handles_disconnected_graphs():
 def test_recursive_on_empty_and_single_vertex():
     assert indpoly_recursive(graph_from_edges(0, [])) == UniPoly([1])
     assert indpoly_recursive(graph_from_edges(1, [])) == UniPoly([1, 1])
+
+
+def test_recursive_needs_no_call_depth():
+    # 40 triangles in a row: the pivot tree is deeper than the frames allowed
+    spec = ChainSpec((3,) * 40, (1,) * 38)
+    g = build(spec)
+    expected = indpoly_chain(spec)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        got = indpoly_recursive(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == expected
 
 
 @given(st.data())

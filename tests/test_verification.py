@@ -1,5 +1,7 @@
 """Property-suite plumbing: results, enumeration helpers, result shapes."""
 
+import chaincacti.verification as verification
+from chaincacti.chain_model import ChainSpec
 from chaincacti.verification import (
     PropertyResult,
     all_specs,
@@ -62,6 +64,32 @@ def test_verify_engines_result_names():
     ]
     assert all(r.passed for r in results)
     assert all(r.checked > 0 for r in results[:3])
+
+
+def test_deletion_identity_fails_when_the_counter_lies(monkeypatch):
+    real = verification.subset_counter
+
+    def lying_counter(masks):
+        count = real(masks)
+        full = (1 << len(masks)) - 1
+        # one extra set of size 1 in G - v_2, for the 5-cycle only
+        liar = full & ~(1 << 2) if len(masks) == 5 else None
+
+        def lie(allowed):
+            got = count(allowed)
+            return [got[0], got[1] + 1, *got[2:]] if allowed == liar else got
+
+        return lie
+
+    monkeypatch.setattr(verification, "subset_counter", lying_counter)
+    results = {r.name: r for r in verify_engines([5], [1])}
+    identity = results["vertex_deletion_identity"]
+    assert not identity.passed
+    assert identity.checked == 5
+    assert identity.counterexample == {"spec": ChainSpec((5,), ()).to_text(), "vertex": 2}
+    assert identity.to_json()["status"] == "fail"
+    # the lie reaches only the identity; the engines still agree
+    assert all(r.passed for name, r in results.items() if name != "vertex_deletion_identity")
 
 
 def test_verify_recurrences_result_names():
