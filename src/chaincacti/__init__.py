@@ -45,16 +45,24 @@ from .engine import (
     transfer_state,
     walk_chains,
 )
-from .extremal import (
-    SweepEntry,
-    SweepReport,
-    Verdict,
-    deletion_verdicts,
-    sweep,
-)
 from .polynomial import Dominance, UniPoly, dominance
 
 __version__ = "0.1.0"
+
+# The extremal module loads on first use of one of its names, so that the
+# commands that neither sweep nor verify do not pay for importing it.
+_EXTREMAL_NAMES = frozenset(
+    {"SweepEntry", "SweepReport", "Verdict", "deletion_verdicts", "sweep"}
+)
+
+
+def __getattr__(name: str):
+    if name in _EXTREMAL_NAMES:
+        from . import extremal
+
+        return getattr(extremal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BRUTE_FORCE_CAP",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -37,7 +36,6 @@ class VertexLabel(NamedTuple):
         return f"{self.cycle}:{self.position}"
 
 
-@dataclass(frozen=True)
 class ChainSpec:
     """Cycle sizes plus internal attachment positions, checked and canonical.
 
@@ -46,14 +44,19 @@ class ChainSpec:
     max(n-2, 0); each raw position k_j must satisfy 1 <= k_j <= h_j - 1 and
     is folded to min(k_j, h_j - k_j).  So every ChainSpec is canonical, and
     two specs of the same chain compare equal.
+
+    A spec is immutable, compares and hashes by value (caches key on it) and
+    pickles through its constructor, so an unpickled spec is checked too.
     """
+
+    __slots__ = ("cycle_sizes", "positions")
 
     cycle_sizes: tuple[int, ...]
     positions: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        sizes = tuple(self.cycle_sizes)
-        positions = tuple(self.positions)
+    def __init__(self, cycle_sizes: Iterable[int], positions: Iterable[int]) -> None:
+        sizes = tuple(cycle_sizes)
+        positions = tuple(positions)
         for i, h in enumerate(sizes, start=1):
             if not isinstance(h, int) or h < 3:
                 raise SpecError(f"cycle size {h} < 3 at cycle {i}")
@@ -72,6 +75,26 @@ class ChainSpec:
         object.__setattr__(self, "cycle_sizes", sizes)
         object.__setattr__(self, "positions", tuple(canon))
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable ChainSpec")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable ChainSpec")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cycle_sizes == other.cycle_sizes and self.positions == other.positions
+
+    def __hash__(self) -> int:
+        return hash((self.cycle_sizes, self.positions))
+
+    def __repr__(self) -> str:
+        return f"ChainSpec(cycle_sizes={self.cycle_sizes!r}, positions={self.positions!r})"
+
+    def __reduce__(self) -> tuple:
+        return (ChainSpec, (self.cycle_sizes, self.positions))
+
     @property
     def length(self) -> int:
         """Number of cycles n."""
@@ -88,19 +111,6 @@ class ChainSpec:
         if not self.positions:
             return sizes
         return sizes + "/" + ",".join(str(k) for k in self.positions)
-
-    def to_json(self) -> dict:
-        return {
-            "cycle_sizes": list(self.cycle_sizes),
-            "positions": list(self.positions),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChainSpec":
-        try:
-            return cls(obj["cycle_sizes"], obj["positions"])
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"bad spec object: {exc}") from exc
 
 
 def parse_spec(text: str) -> ChainSpec:
@@ -223,10 +233,6 @@ class LabeledGraph:
         self.labels = dict(labels)
         self._masks: list[int] | None = None
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (cached)."""
         if self._masks is None:
@@ -242,15 +248,6 @@ class LabeledGraph:
             return self.labels[label]
         except KeyError:
             raise SpecError(f"no vertex labeled {label}") from None
-
-    def labels_of(self, vertex: int) -> list[VertexLabel]:
-        return sorted(lab for lab, v in self.labels.items() if v == vertex)
-
-    def closed_neighborhood(self, label: VertexLabel) -> frozenset[int]:
-        """Vertex ids of N[v]: the vertex itself plus its neighbors."""
-        v = self.vertex_of(label)
-        mask = self.adjacency_masks()[v] | (1 << v)
-        return frozenset(i for i in range(self.num_vertices) if mask >> i & 1)
 
     def delete_vertices(self, labels: Iterable[VertexLabel]) -> "LabeledGraph":
         """Induced subgraph without the labeled vertices (labels preserved)."""

@@ -46,9 +46,7 @@ from .engine import (
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
 )
-from .extremal import sweep
 from .polynomial import UniPoly
-from .verification import verify_dominance, verify_engines, verify_recurrences
 
 CROSSCHECK_CAP = 24
 FORMAT_ENV = "CHAINCACTI_FORMAT"
@@ -251,6 +249,8 @@ def cmd_closed(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .extremal import sweep
+
     started = time.perf_counter()
     fmt = _default_format(args.format, ("json", "csv"), "json")
     sizes = _parse_sizes(args.sizes)
@@ -290,17 +290,39 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .extremal import SWEEP_CAP
+    from .verification import (
+        count_chains,
+        verify_dominance,
+        verify_engines,
+        verify_recurrences,
+    )
+
     started = time.perf_counter()
     fmt = _default_format(args.format, ("text", "json"), "text")
     suites = ["engines", "recurrences", "lemmas"] if args.suite == "all" else [args.suite]
 
-    results = []
+    # Every range is counted before any suite runs, so that an oversized
+    # range is refused at once, also when it comes last in ``verify all``.
+    plan = []
     for suite in suites:
         default_h, default_n = _SUITE_DEFAULTS[suite]
         h_lo, h_hi = _parse_range(args.h, "h") if args.h else default_h
         n_lo, n_hi = _parse_range(args.n, "n") if args.n else default_n
+        if suite == "lemmas":
+            n_lo = max(n_lo, 2)  # a deletion lemma needs two cycles
         hs = range(h_lo, h_hi + 1)
         ns = range(n_lo, n_hi + 1)
+        if suite != "recurrences":
+            count = count_chains(hs, ns)
+            if count > SWEEP_CAP:
+                raise VertexCapError(
+                    f"verify {suite} over {count} chains exceeds the cap of {SWEEP_CAP} chains"
+                )
+        plan.append((suite, hs, ns))
+
+    results = []
+    for suite, hs, ns in plan:
         if suite == "engines":
             results.extend(verify_engines(hs, ns))
         elif suite == "recurrences":

@@ -52,7 +52,6 @@ def cycle_poly(n: int) -> UniPoly:
 
 
 class FibLucas(NamedTuple):
-    index: int
     fib: int
     lucas: int
 
@@ -62,13 +61,13 @@ def fib_lucas(n: int) -> FibLucas:
     if n < 1:
         raise ValueError(f"index {n} < 1")
     if n == 1:
-        return FibLucas(1, 1, 1)
+        return FibLucas(1, 1)
     f_prev, f = 1, 1
     l_prev, l = 1, 3
     for _ in range(n - 2):
         f_prev, f = f, f + f_prev
         l_prev, l = l, l + l_prev
-    return FibLucas(n, f, l)
+    return FibLucas(f, l)
 
 
 def psi_path(n: int) -> int:

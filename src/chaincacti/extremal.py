@@ -11,9 +11,6 @@ exhaustively on concrete inputs and reports structured verdicts.
 
 from __future__ import annotations
 
-import csv
-import io
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -192,6 +189,9 @@ class SweepReport:
         }
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["positions", "psi", "alpha", "mis_count"])
@@ -255,6 +255,8 @@ def sweep(
     subtrees = sizes[1] // 2 if len(sizes) >= 3 else 1
     workers = min(jobs, subtrees, os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # here, so that only a parallel sweep pays for the import
+
         tasks = [(sizes, dedupe_reversal, k) for k in range(1, subtrees + 1)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.starmap(_sweep_subtree, tasks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Dominance(enum.Enum):
@@ -98,9 +98,6 @@ class UniPoly:
                     out[i + j] += ca * cb
         return UniPoly(out)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k (k >= 0)."""
         if k < 0:
@@ -144,10 +141,6 @@ class UniPoly:
     def to_coeff_strings(self) -> list[str]:
         """JSON form: coefficients as decimal strings, constant term first."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_coeff_strings(cls, strings: Sequence[str]) -> "UniPoly":
-        return cls(int(s) for s in strings)
 
 
 ZERO = UniPoly()

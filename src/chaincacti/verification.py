@@ -98,6 +98,18 @@ def all_specs(
         yield from enumerate_specs(sizes)
 
 
+def count_chains(h_values: Sequence[int], n_values: Sequence[int]) -> int:
+    """How many chains ``all_specs`` yields, found without enumerating.
+
+    One cycle gives |H| chains.  n >= 2 cycles give |H|^2 * S^(n-2), with
+    S the sum of floor(h/2) over H: the two end cycles take any size, and
+    each internal cycle any size h with any of its floor(h/2) positions.
+    """
+    m = len(h_values)
+    s = sum(h // 2 for h in h_values)
+    return sum(m if n == 1 else m * m * s ** (n - 2) for n in n_values if n >= 1)
+
+
 # -- engines ------------------------------------------------------------------
 
 

@@ -228,6 +228,19 @@ def test_sweep_past_the_cap_exits_3_at_once(capsys):
     assert "60466176 chains" in err and "cap of 262144" in err
 
 
+def test_verify_past_the_cap_exits_3_at_once(capsys):
+    started = time.perf_counter()
+    assert main(["verify", "lemmas", "--h", "4..12", "--n", "2..8"]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "128920950351 chains" in err and "cap of 262144" in err
+    # verify all counts every suite's range before running the first one
+    started = time.perf_counter()
+    assert main(["verify", "all", "--h", "3..12"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "verify lemmas over 4413600 chains" in capsys.readouterr().err
+
+
 def test_verify_text(capsys):
     assert main(["verify", "engines", "--h", "3..4", "--n", "1..2"]) == 0
     out = capsys.readouterr().out
@@ -283,6 +296,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "psi = 18" in proc.stdout
+
+
+def test_poly_and_closed_load_only_what_they_run():
+    script = """
+import sys
+from chaincacti import cli
+assert cli.main(["poly", "3", "--format", "json"]) == 0
+assert cli.main(["closed", "ortho", "--h", "6", "--n", "4"]) == 0
+unused = ["chaincacti.extremal", "chaincacti.verification", "multiprocessing", "dataclasses", "csv"]
+print("loaded:", [m for m in unused if m in sys.modules])
+from chaincacti import sweep, deletion_verdicts
+print("lazy:", sweep.__module__, deletion_verdicts.__module__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "loaded: []" in proc.stdout
+    assert "lazy: chaincacti.extremal chaincacti.extremal" in proc.stdout
 
 
 def test_exact_counts_render_past_the_int_digit_limit():

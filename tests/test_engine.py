@@ -170,8 +170,10 @@ def test_transfer_state_counts_prefix_sets_by_exit_occupancy(text):
         exit_pos = 1 if j == 1 else spec.positions[j - 2]
         exit_label = VertexLabel(j, exit_pos)
         minus_exit = indpoly_bruteforce(prefix.delete_vertices([exit_label]))
+        exit_id = prefix.vertex_of(exit_label)
+        hood = prefix.adjacency_masks()[exit_id] | 1 << exit_id
         minus_hood = indpoly_bruteforce(
-            prefix.delete_vertex_ids(prefix.closed_neighborhood(exit_label))
+            prefix.delete_vertex_ids(v for v in range(prefix.num_vertices) if hood >> v & 1)
         )
         assert state.p == minus_exit
         assert state.q == minus_hood.shift(1)
@@ -186,7 +188,7 @@ def test_step_matrix_trace_and_determinant_are_the_recurrence_coefficients():
         pp, pq, qp, qq = _step_matrix(h, 1)
         side = path_poly(h - 3)
         assert pp + qq == path_poly(h - 2)
-        assert pp * qq - pq * qp == -(side * side).shift(1)
+        assert pq * qp - pp * qq == (side * side).shift(1)
         if h >= 4:
             a, b = meta_recurrence_coeffs(h)
             pp, pq, qp, qq = _step_matrix(h, 2)

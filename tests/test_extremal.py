@@ -291,7 +291,7 @@ class _RecordingPool:
 )
 def test_sweep_pool_size(monkeypatch, sizes, jobs, cpus, expected):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(extremal.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr("multiprocessing.Pool", _RecordingPool)
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: cpus)
     report = sweep(sizes, jobs=jobs)
     assert _RecordingPool.sizes == ([] if expected is None else [expected])

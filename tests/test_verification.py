@@ -5,6 +5,7 @@ from chaincacti.chain_model import ChainSpec
 from chaincacti.verification import (
     PropertyResult,
     all_specs,
+    count_chains,
     size_lists,
     verify_dominance,
     verify_engines,
@@ -116,3 +117,17 @@ def test_verify_dominance_counts_vacuous():
     assert "1 vacuous" in by_name["meta_deletion_max"].detail
     assert by_name["ortho_deletion_min"].checked == 1
     assert by_name["psi_deletion_ordering"].checked == 1
+
+
+def test_count_chains_matches_enumeration():
+    for h_values, n_values in [
+        (range(3, 9), range(1, 5)),
+        (range(4, 9), range(2, 5)),
+        (range(3, 4), range(0, 6)),
+        (range(5, 8), range(3, 4)),
+        (range(4, 5), range(5, 3)),
+    ]:
+        assert count_chains(h_values, n_values) == sum(1 for _ in all_specs(h_values, n_values))
+    # the two CLI defaults: verify engines and verify lemmas
+    assert count_chains(range(3, 9), range(1, 5)) == 8682
+    assert count_chains(range(4, 9), range(2, 6)) == 73875
