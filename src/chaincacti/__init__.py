@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 # The extremal module loads on first use of one of its names, so that the
 # commands that neither sweep nor verify do not pay for importing it.
 _EXTREMAL_NAMES = frozenset(
-    {"SweepEntry", "SweepReport", "Verdict", "deletion_verdicts", "sweep"}
+    {"PropertyResult", "SweepEntry", "SweepReport", "sweep"}
 )
 
 
@@ -70,12 +70,12 @@ __all__ = [
     "Dominance",
     "FibLucas",
     "LabeledGraph",
+    "PropertyResult",
     "SpecError",
     "SweepEntry",
     "SweepReport",
     "TransferState",
     "UniPoly",
-    "Verdict",
     "VertexCapError",
     "VertexLabel",
     "alpha_meta",
@@ -85,7 +85,6 @@ __all__ = [
     "count_mis_ortho",
     "count_specs",
     "cycle_poly",
-    "deletion_verdicts",
     "dominance",
     "enumerate_specs",
     "fib_lucas",

@@ -337,9 +337,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(_envelope("verify", inputs, result, None, started))
     else:
         for r in results:
-            mark = "PASS" if r.passed else "FAIL"
             detail = f"  [{r.detail}]" if r.detail else ""
-            print(f"{mark} {r.name} (checked {r.checked}){detail}")
+            print(f"{r.status.upper()} {r.name} (checked {r.checked}){detail}")
             if r.counterexample is not None:
                 print(f"     counterexample: {json.dumps(r.counterexample)}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

@@ -6,7 +6,8 @@ independence polynomial among canonical deletions, deleting position 2 the
 largest; and across all chains with a fixed size list, the all-ones (ortho)
 position sequence minimizes the total count of independent sets while the
 all-twos (meta) sequence maximizes it.  Everything here verifies those claims
-exhaustively on concrete inputs and reports structured verdicts.
+exhaustively on concrete inputs.  ``PropertyResult`` is the one result type
+of every check here and in ``verification``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .chain_model import ChainSpec, SpecError, count_specs
-from .engine import VertexCapError, indpoly_chain_minus_last_vertex, walk_chains
+from .engine import VertexCapError, walk_chains
 from .polynomial import Dominance, UniPoly, dominance
 
 
@@ -26,123 +27,111 @@ SWEEP_CAP = 262_144
 
 
 @dataclass
-class Verdict:
-    """Outcome of one verified property.
+class PropertyResult:
+    """Outcome of one checked property over any number of cases.
 
-    status is "pass", "fail", "vacuous" (nothing to check in the canonical
-    range), or "degenerate" (the comparison set is trivial).  Failures carry
-    a counterexample with the offending spec, position, and both polynomials.
+    Counts the cases checked and the vacuous ones (nothing to check), and
+    keeps the first counterexample.  status is "fail" once a case fails,
+    "pass" once a case is checked, and "vacuous" otherwise; "degenerate"
+    marks a property whose comparison set is trivial.
     """
 
-    status: str
+    name: str
     detail: str = ""
+    checked: int = 0
     counterexample: dict | None = None
+    vacuous: int = 0
+    degenerate: bool = False
 
     @property
-    def ok(self) -> bool:
-        return self.status != "fail"
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        if self.counterexample is not None:
+            return "fail"
+        if self.checked:
+            return "pass"
+        return "degenerate" if self.degenerate else "vacuous"
+
+    def check(self, ok: bool, counterexample_factory) -> None:
+        self.checked += 1
+        if not ok and self.counterexample is None:
+            self.counterexample = counterexample_factory()
+
+    def add(self, later: PropertyResult) -> None:
+        """Fold in the tally of a later share of this property's cases."""
+        self.checked += later.checked
+        self.vacuous += later.vacuous
+        if self.counterexample is None and later.counterexample is not None:
+            self.counterexample = later.counterexample
+            self.detail = later.detail
 
     def to_json(self) -> dict:
         return {
+            "name": self.name,
             "status": self.status,
+            "checked": self.checked,
             "detail": self.detail,
             "counterexample": self.counterexample,
         }
 
 
-def _poly_pair(spec: ChainSpec, k: int, a: UniPoly, b: UniPoly) -> dict:
-    return {
-        "spec": spec.to_text(),
-        "k": k,
-        "poly_a": a.to_coeff_strings(),
-        "poly_b": b.to_coeff_strings(),
-    }
+def tally_deletions(
+    results: Sequence[PropertyResult],
+    sizes: tuple[int, ...],
+    positions: tuple[int, ...],
+    deletions: Sequence[UniPoly],
+) -> None:
+    """Judge one chain's last-cycle deletions by the three deletion lemmas.
 
+    ``deletions`` holds i(A - v_k) for the canonical positions k = 1..top,
+    top = floor(h_n/2), in k order, as ``walk_chains`` yields them.  Each
+    lemma is a list of position pairs (a, b), where a must lie strictly
+    below b; ``results`` holds the lemmas' results in this order:
 
-def deletion_verdicts(
-    spec: ChainSpec, polys: Sequence[UniPoly] | None = None
-) -> tuple[Verdict, Verdict, Verdict]:
-    """The three last-cycle deletion verdicts of one chain.
+    - ortho_deletion_min: (1, k) for k in 2..top, coefficientwise;
+    - meta_deletion_max: (k, 2) for k in 3..top, coefficientwise;
+    - psi_deletion_ordering: both lists, on the total counts.
 
-    Judges i(A - v_k) for the canonical positions k in 1..floor(h_n/2), in
-    this order: position 1 is the strict minimum, position 2 the strict
-    maximum of the deeper positions, and the psi ordering.  ``polys`` holds
-    those polynomials in k order when the caller has them already (the chain
-    walk does); otherwise each is computed once.  Requires n >= 2.
+    A lemma with no pairs counts the chain as vacuous, any other as checked.
+    The first failing pair of a result with no counterexample yet becomes
+    its counterexample, and its reason the result's detail.
     """
-    if spec.length < 2:
-        raise SpecError("deletion comparisons require n >= 2")
-    if polys is None:
-        h = spec.cycle_sizes[-1]
-        by_k = {k: indpoly_chain_minus_last_vertex(spec, k) for k in range(1, h // 2 + 1)}
-    else:
-        by_k = dict(enumerate(polys, start=1))
-    return (
-        _ortho_deletion_min(spec, by_k),
-        _meta_deletion_max(spec, by_k),
-        _psi_deletion_ordering(spec, by_k),
+    top = len(deletions)
+    ortho = [(1, k) for k in range(2, top + 1)]
+    meta = [(k, 2) for k in range(3, top + 1)]
+    psi = [p.eval_at_one() for p in deletions]
+
+    def strictly_below(a: int, b: int) -> bool:
+        return dominance(deletions[a - 1], deletions[b - 1]) is Dominance.STRICTLY_DOMINATED
+
+    def psi_below(a: int, b: int) -> bool:
+        return psi[a - 1] < psi[b - 1]
+
+    lemmas = (
+        (ortho, strictly_below, "position {} not strictly below position {}"),
+        (meta, strictly_below, "position {} not strictly below position {}"),
+        (ortho + meta, psi_below, "psi at position {} not below position {}"),
     )
-
-
-def _ortho_deletion_min(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
-    """Deleting position 1 is strictly dominated by every other deletion.
-
-    Checks i(A - v_1) strictly below i(A - v_k) coefficientwise for each
-    k in 2..floor(h_n/2); vacuous when that range is empty (h_n = 3).
-    """
-    top = max(polys)
-    if top < 2:
-        return Verdict("vacuous", "no canonical position beyond 1")
-    for k in range(2, top + 1):
-        if dominance(polys[1], polys[k]) is not Dominance.STRICTLY_DOMINATED:
-            return Verdict(
-                "fail",
-                f"position 1 not strictly below position {k}",
-                _poly_pair(spec, k, polys[1], polys[k]),
-            )
-    return Verdict("pass", f"checked k in 2..{top}")
-
-
-def _meta_deletion_max(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
-    """Deleting position 2 strictly dominates every deeper deletion.
-
-    Checks i(A - v_k) strictly below i(A - v_2) coefficientwise for each
-    k in 3..floor(h_n/2); vacuous when h_n < 6.
-    """
-    top = max(polys)
-    if top < 3:
-        return Verdict("vacuous", "no canonical position beyond 2")
-    for k in range(3, top + 1):
-        if dominance(polys[k], polys[2]) is not Dominance.STRICTLY_DOMINATED:
-            return Verdict(
-                "fail",
-                f"position {k} not strictly below position 2",
-                _poly_pair(spec, k, polys[k], polys[2]),
-            )
-    return Verdict("pass", f"checked k in 3..{top}")
-
-
-def _psi_deletion_ordering(spec: ChainSpec, polys: dict[int, UniPoly]) -> Verdict:
-    """Total counts after deletion are ordered: position 1 < others < position 2."""
-    top = max(polys)
-    if top < 2:
-        return Verdict("vacuous", "only one canonical position")
-    psi = {k: p.eval_at_one() for k, p in polys.items()}
-    for k in range(2, top + 1):
-        if not psi[1] < psi[k]:
-            return Verdict(
-                "fail",
-                f"psi at position 1 not below position {k}",
-                _poly_pair(spec, k, polys[1], polys[k]),
-            )
-    for k in range(3, top + 1):
-        if not psi[k] < psi[2]:
-            return Verdict(
-                "fail",
-                f"psi at position {k} not below position 2",
-                _poly_pair(spec, k, polys[k], polys[2]),
-            )
-    return Verdict("pass", f"checked k in 2..{top}")
+    for result, (pairs, below, reason) in zip(results, lemmas):
+        if not pairs:
+            result.vacuous += 1
+            continue
+        result.checked += 1
+        if result.counterexample is not None:
+            continue
+        for a, b in pairs:
+            if not below(a, b):
+                result.detail = reason.format(a, b)
+                result.counterexample = {
+                    "spec": ChainSpec(sizes, positions).to_text(),
+                    "k": b if a == 1 else a,
+                    "poly_a": deletions[a - 1].to_coeff_strings(),
+                    "poly_b": deletions[b - 1].to_coeff_strings(),
+                }
+                break
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -170,12 +159,12 @@ class SweepReport:
     entries: list[SweepEntry]
     min_entry: SweepEntry
     max_entry: SweepEntry
-    verdicts: dict[str, Verdict]
+    verdicts: dict[str, PropertyResult]
     ties: list[dict] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
-        return all(v.ok for v in self.verdicts.values())
+        return all(v.passed for v in self.verdicts.values())
 
     def to_json(self) -> dict:
         return {
@@ -184,7 +173,10 @@ class SweepReport:
             "entries": [e.to_json() for e in self.entries],
             "min": self.min_entry.to_json(),
             "max": self.max_entry.to_json(),
-            "verdicts": {name: v.to_json() for name, v in self.verdicts.items()},
+            "verdicts": {
+                name: {"status": v.status, "detail": v.detail, "counterexample": v.counterexample}
+                for name, v in self.verdicts.items()
+            },
             "ties": self.ties,
         }
 
@@ -200,30 +192,49 @@ class SweepReport:
         return buf.getvalue()
 
 
+#: The sweep's names for the three deletion lemmas, in ``tally_deletions`` order.
+_DELETION_VERDICTS = ("deletion_min_at_ortho", "deletion_max_at_meta", "psi_deletion_ordering")
+
+
 def _sweep_subtree(
     sizes: tuple[int, ...], dedupe_reversal: bool, first: int | None
-) -> list[tuple[SweepEntry, tuple[Verdict, ...]]]:
-    results = []
+) -> tuple[list[SweepEntry], list[PropertyResult]]:
+    entries = []
+    lemmas = [PropertyResult(name) for name in _DELETION_VERDICTS]
     for positions, poly, deletions in walk_chains(sizes, dedupe_reversal, first):
         deg, lead = poly.degree_and_leading()
-        entry = SweepEntry(positions, poly.eval_at_one(), deg, lead)
+        entries.append(SweepEntry(positions, poly.eval_at_one(), deg, lead))
         if len(sizes) >= 2:
-            checks = deletion_verdicts(ChainSpec(sizes, positions), deletions)
-        else:
-            vac = Verdict("vacuous", "requires n >= 2")
-            checks = (vac, vac, vac)
-        results.append((entry, checks))
-    return results
+            tally_deletions(lemmas, sizes, positions, deletions)
+    if len(sizes) < 2:
+        for lemma in lemmas:
+            lemma.vacuous = len(entries)  # a deletion lemma needs two cycles
+    return entries, lemmas
 
 
-def _merge(verdicts: Sequence[Verdict]) -> Verdict:
-    for v in verdicts:
-        if not v.ok:
-            return v
-    passed = sum(1 for v in verdicts if v.status == "pass")
-    if passed == 0:
-        return Verdict("vacuous", f"nothing to check across {len(verdicts)} chain(s)")
-    return Verdict("pass", f"{passed} of {len(verdicts)} chain(s) checked, rest vacuous")
+def _fold_subtrees(
+    parts: Sequence[tuple[list[SweepEntry], list[PropertyResult]]],
+) -> tuple[list[SweepEntry], list[PropertyResult]]:
+    """Join the subtrees' entries and lemma tallies, in position order.
+
+    The counts add up, and the earliest subtree's counterexample wins, so the
+    result is the one a single walk over every chain gives.
+    """
+    entries = []
+    lemmas = [PropertyResult(name) for name in _DELETION_VERDICTS]
+    for part_entries, part_lemmas in parts:
+        entries.extend(part_entries)
+        for lemma, part in zip(lemmas, part_lemmas):
+            lemma.add(part)
+    for lemma in lemmas:
+        if lemma.passed:
+            chains = lemma.checked + lemma.vacuous
+            lemma.detail = (
+                f"{lemma.checked} of {chains} chain(s) checked, rest vacuous"
+                if lemma.checked
+                else f"nothing to check across {chains} chain(s)"
+            )
+    return entries, lemmas
 
 
 def sweep(
@@ -260,17 +271,11 @@ def sweep(
         tasks = [(sizes, dedupe_reversal, k) for k in range(1, subtrees + 1)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.starmap(_sweep_subtree, tasks)
-        results = [r for part in parts for r in part]
     else:
-        results = _sweep_subtree(sizes, dedupe_reversal, None)
+        parts = [_sweep_subtree(sizes, dedupe_reversal, None)]
 
-    entries = [entry for entry, _ in results]
-    verdicts = {
-        "deletion_min_at_ortho": _merge([c[0] for _, c in results]),
-        "deletion_max_at_meta": _merge([c[1] for _, c in results]),
-        "psi_deletion_ordering": _merge([c[2] for _, c in results]),
-    }
-
+    entries, lemmas = _fold_subtrees(parts)
+    verdicts = {lemma.name: lemma for lemma in lemmas}
     min_entry = min(entries, key=lambda e: e.psi)
     max_entry = max(entries, key=lambda e: e.psi)
     verdicts["extremality"] = _extremality_verdict(sizes, entries)
@@ -289,40 +294,35 @@ def sweep(
 
 def _extremality_verdict(
     sizes: tuple[int, ...], entries: list[SweepEntry]
-) -> Verdict:
+) -> PropertyResult:
     if len(entries) == 1:
-        return Verdict("degenerate", "only one canonical chain for these sizes")
+        return PropertyResult(
+            "extremality", "only one canonical chain for these sizes", degenerate=True
+        )
     internal = sizes[1 : len(sizes) - 1]
     all_ones = tuple(1 for _ in internal)
     all_twos = tuple(2 for _ in internal) if all(h >= 4 for h in internal) else None
 
+    def failure(detail: str, psi: int, at: list[SweepEntry]) -> PropertyResult:
+        counterexample = {
+            "cycle_sizes": list(sizes),
+            "psi": str(psi),
+            "positions": [list(e.positions) for e in at],
+        }
+        return PropertyResult("extremality", detail, 1, counterexample)
+
     min_psi = min(e.psi for e in entries)
     at_min = [e for e in entries if e.psi == min_psi]
     if len(at_min) > 1 or at_min[0].positions != all_ones:
-        return Verdict(
-            "fail",
-            "minimum is not uniquely at the all-ones sequence",
-            {
-                "cycle_sizes": list(sizes),
-                "psi": str(min_psi),
-                "positions": [list(e.positions) for e in at_min],
-            },
-        )
+        return failure("minimum is not uniquely at the all-ones sequence", min_psi, at_min)
     if all_twos is None:
-        return Verdict(
-            "pass",
-            "minimum uniquely at all-ones; no all-twos chain for these sizes",
+        return PropertyResult(
+            "extremality", "minimum uniquely at all-ones; no all-twos chain for these sizes", 1
         )
     max_psi = max(e.psi for e in entries)
     at_max = [e for e in entries if e.psi == max_psi]
     if len(at_max) > 1 or at_max[0].positions != all_twos:
-        return Verdict(
-            "fail",
-            "maximum is not uniquely at the all-twos sequence",
-            {
-                "cycle_sizes": list(sizes),
-                "psi": str(max_psi),
-                "positions": [list(e.positions) for e in at_max],
-            },
-        )
-    return Verdict("pass", "minimum uniquely at all-ones, maximum uniquely at all-twos")
+        return failure("maximum is not uniquely at the all-twos sequence", max_psi, at_max)
+    return PropertyResult(
+        "extremality", "minimum uniquely at all-ones, maximum uniquely at all-twos", 1
+    )

@@ -16,7 +16,6 @@ Three suites, mirroring the CLI's ``verify`` subcommand:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .chain_model import (
@@ -48,37 +47,12 @@ from .engine import (
     transfer_state,
     walk_chains,
 )
-from .extremal import deletion_verdicts
+from .extremal import PropertyResult, tally_deletions
 from .kernels import subset_counter
 from .polynomial import UniPoly
 
-
-@dataclass
-class PropertyResult:
-    """Pass/fail record of one property, keeping the first counterexample."""
-
-    name: str
-    detail: str = ""
-    checked: int = 0
-    counterexample: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-    def check(self, ok: bool, counterexample_factory) -> None:
-        self.checked += 1
-        if not ok and self.counterexample is None:
-            self.counterexample = counterexample_factory()
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "checked": self.checked,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
+#: Largest graph, in vertices, whose vertex deletion identity is checked.
+DELETION_IDENTITY_CAP = 20
 
 
 def size_lists(
@@ -116,7 +90,6 @@ def count_chains(h_values: Sequence[int], n_values: Sequence[int]) -> int:
 def verify_engines(
     h_values: Sequence[int],
     n_values: Sequence[int],
-    deletion_identity_cap: int = 20,
 ) -> list[PropertyResult]:
     agreement = PropertyResult("engine_agreement")
     counts = PropertyResult("unit_and_vertex_counts")
@@ -124,7 +97,7 @@ def verify_engines(
     mirror = PropertyResult("mirror_deletion_symmetry")
     prefix = PropertyResult("transfer_prefix_consistency")
     identity = PropertyResult(
-        "vertex_deletion_identity", f"graphs up to {deletion_identity_cap} vertices"
+        "vertex_deletion_identity", f"graphs up to {DELETION_IDENTITY_CAP} vertices"
     )
 
     for spec in all_specs(h_values, n_values):
@@ -174,7 +147,7 @@ def verify_engines(
                     and state.p + state.q == indpoly_chain(head),
                     lambda: {"spec": spec.to_text(), "through_cycle": j},
                 )
-        if nv <= deletion_identity_cap:
+        if nv <= DELETION_IDENTITY_CAP:
             _check_deletion_identity(g, spec, identity)
 
     return [agreement, counts, reversal, mirror, prefix, identity]
@@ -334,18 +307,11 @@ def verify_dominance(
         PropertyResult("meta_deletion_max"),
         PropertyResult("psi_deletion_ordering"),
     ]
-    vacuous = [0, 0, 0]
-
     ns = [n for n in n_values if n >= 2]
     for sizes in size_lists(h_values, ns):
         for positions, _, deletions in walk_chains(sizes):
-            spec = ChainSpec(sizes, positions)
-            for i, verdict in enumerate(deletion_verdicts(spec, deletions)):
-                if verdict.status == "vacuous":
-                    vacuous[i] += 1
-                    continue
-                results[i].check(verdict.ok, lambda: verdict.counterexample)
+            tally_deletions(results, sizes, positions, deletions)
 
-    for result, skipped in zip(results, vacuous):
-        result.detail = f"{skipped} vacuous chain(s) skipped"
+    for result in results:
+        result.detail = f"{result.vacuous} vacuous chain(s) skipped"
     return results

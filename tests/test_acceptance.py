@@ -164,7 +164,7 @@ def test_criterion_7_extremality_sweeps(capsys):
         failures.append("minimum not strict for h=6, n=5")
     if sum(1 for e in five.entries if e.psi == five.max_entry.psi) != 1:
         failures.append("maximum not strict for h=6, n=5")
-    if not five.verdicts["extremality"].ok:
+    if not five.verdicts["extremality"].passed:
         failures.append("extremality verdict failed for h=6, n=5")
 
     three = sweep([6, 6, 6])

@@ -266,6 +266,26 @@ def test_verify_json(capsys):
     assert names == ["ortho_deletion_min", "meta_deletion_max", "psi_deletion_ordering"]
 
 
+def test_verify_reports_vacuous_when_nothing_is_checked(capsys):
+    # lemmas need two cycles, so --n 1..1 is clamped to an empty range
+    assert main(["verify", "lemmas", "--n", "1..1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"VACUOUS {name} (checked 0)  [0 vacuous chain(s) skipped]"
+        for name in ("ortho_deletion_min", "meta_deletion_max", "psi_deletion_ordering")
+    ]
+    code, payload = run_json(
+        capsys, ["verify", "lemmas", "--h", "3..3", "--n", "2..2", "--format", "json"]
+    )
+    assert code == 0
+    assert [r["status"] for r in payload["result"]["results"]] == ["vacuous"] * 3
+    assert payload["result"]["all_passed"] is True
+    assert main(["verify", "engines", "--n", "0..1"]) == 0
+    out = capsys.readouterr().out
+    assert "VACUOUS mirror_deletion_symmetry (checked 0)" in out
+    assert "PASS engine_agreement" in out
+
+
 def test_verify_recurrences_small(capsys):
     assert main(["verify", "recurrences", "--h", "4..6", "--n", "0..4"]) == 0
 
@@ -306,8 +326,8 @@ assert cli.main(["poly", "3", "--format", "json"]) == 0
 assert cli.main(["closed", "ortho", "--h", "6", "--n", "4"]) == 0
 unused = ["chaincacti.extremal", "chaincacti.verification", "multiprocessing", "dataclasses", "csv"]
 print("loaded:", [m for m in unused if m in sys.modules])
-from chaincacti import sweep, deletion_verdicts
-print("lazy:", sweep.__module__, deletion_verdicts.__module__)
+from chaincacti import sweep, PropertyResult
+print("lazy:", sweep.__module__, PropertyResult.__module__)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

@@ -5,82 +5,78 @@ import time
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import chaincacti.extremal as extremal
 from chaincacti.chain_model import ChainSpec, SpecError, count_specs, parse_spec
 from chaincacti.closed_forms import ortho_poly
-from chaincacti.engine import VertexCapError
+from chaincacti.engine import VertexCapError, indpoly_chain_minus_last_vertex
 from chaincacti.extremal import (
     SWEEP_CAP,
+    PropertyResult,
     SweepEntry,
-    Verdict,
     _extremality_verdict,
-    _merge,
-    _meta_deletion_max,
-    _ortho_deletion_min,
-    _psi_deletion_ordering,
-    deletion_verdicts,
+    _fold_subtrees,
+    tally_deletions,
     sweep,
 )
 from chaincacti.polynomial import UniPoly
 
+LEMMAS = ("ortho_deletion_min", "meta_deletion_max", "psi_deletion_ordering")
+
+
+def _judge(sizes, positions, deletions):
+    """The three lemma results of one chain's deletions, given in k order."""
+    results = [PropertyResult(name) for name in LEMMAS]
+    tally_deletions(results, sizes, positions, deletions)
+    return results
+
+
+def _judge_spec(spec):
+    h = spec.cycle_sizes[-1]
+    deletions = [indpoly_chain_minus_last_vertex(spec, k) for k in range(1, h // 2 + 1)]
+    return _judge(spec.cycle_sizes, spec.positions, deletions)
+
 
 def test_deletion_verdicts_on_two_hexagons():
-    verdicts = deletion_verdicts(parse_spec("6,6/"))
+    verdicts = _judge_spec(parse_spec("6,6/"))
     assert [v.status for v in verdicts] == ["pass", "pass", "pass"]
 
 
 def test_deletion_verdicts_pass_across_small_sizes():
     for sizes in [(4, 7), (8, 8), (5, 6, 7), (6, 4, 8)]:
         spec = ChainSpec(sizes, tuple(1 for _ in sizes[1:-1]))
-        assert all(v.ok for v in deletion_verdicts(spec))
+        assert all(v.passed for v in _judge_spec(spec))
 
 
 def test_deletion_verdicts_vacuous_cases():
     # triangle last cycle: position 1 is the only canonical deletion
-    ortho, meta, psi = deletion_verdicts(parse_spec("6,3/"))
+    ortho, meta, psi = _judge_spec(parse_spec("6,3/"))
     assert ortho.status == "vacuous"
-    assert "no canonical position beyond 1" in ortho.detail
+    assert (ortho.checked, ortho.vacuous) == (0, 1)
     assert meta.status == "vacuous"
     assert psi.status == "vacuous"
     # h = 4 or 5 last cycle: nothing deeper than position 2
     for text in ("6,4/", "6,5/"):
-        ortho, meta, psi = deletion_verdicts(parse_spec(text))
+        ortho, meta, psi = _judge_spec(parse_spec(text))
         assert meta.status == "vacuous"
         assert ortho.status == psi.status == "pass"
 
 
 def test_deletion_verdicts_require_two_cycles():
-    with pytest.raises(SpecError):
-        deletion_verdicts(parse_spec("6/"))
-    with pytest.raises(SpecError):
-        deletion_verdicts(parse_spec("8/"))
-
-
-def test_deletion_verdicts_compute_each_position_once(monkeypatch):
-    calls = []
-
-    def counting(spec, k):
-        calls.append((spec, k))
-        return UniPoly([1, k])
-
-    monkeypatch.setattr(extremal, "indpoly_chain_minus_last_vertex", counting)
-    for text in ("6,3/", "6,8/", "5,6,9/2"):
-        calls.clear()
-        spec = parse_spec(text)
-        deletion_verdicts(spec)
-        h = spec.cycle_sizes[-1]
-        assert calls == [(spec, k) for k in range(1, h // 2 + 1)]
-        # deletions handed in by the chain walk are judged, not recomputed
-        calls.clear()
-        given = [UniPoly([1, k]) for k in range(1, h // 2 + 1)]
-        judged = deletion_verdicts(spec, given)
-        assert calls == []
-        assert judged == deletion_verdicts(spec)
+    # a single cycle has no chain to delete from: every chain is vacuous
+    for h in (6, 8):
+        report = sweep([h])
+        for name in ("deletion_min_at_ortho", "deletion_max_at_meta", "psi_deletion_ordering"):
+            v = report.verdicts[name]
+            assert (v.status, v.checked, v.vacuous) == ("vacuous", 0, 1)
+            assert v.detail == "nothing to check across 1 chain(s)"
 
 
 def _assert_fail(verdict, k, poly_a, poly_b):
     assert verdict.status == "fail"
-    assert not verdict.ok
+    assert not verdict.passed
     assert verdict.counterexample == {
         "spec": "8,8",
         "k": k,
@@ -89,48 +85,147 @@ def _assert_fail(verdict, k, poly_a, poly_b):
     }
 
 
+def _judge_dict(polys):
+    return _judge((8, 8), (), [polys[k] for k in sorted(polys)])
+
+
 def test_ortho_deletion_min_fails_when_position_1_not_below():
-    spec = parse_spec("8,8/")
     polys = {1: UniPoly([1, 3]), 2: UniPoly([1, 4]), 3: UniPoly([1, 2]), 4: UniPoly([1, 5])}
-    v = _ortho_deletion_min(spec, polys)
+    v = _judge_dict(polys)[0]
     assert "position 1 not strictly below position 3" in v.detail
     _assert_fail(v, 3, polys[1], polys[3])
 
 
 def test_meta_deletion_max_fails_when_deeper_position_not_below_2():
-    spec = parse_spec("8,8/")
     polys = {1: UniPoly([1, 1]), 2: UniPoly([1, 4]), 3: UniPoly([1, 3]), 4: UniPoly([2, 3])}
-    v = _meta_deletion_max(spec, polys)
+    v = _judge_dict(polys)[1]
     assert "position 4 not strictly below position 2" in v.detail
     _assert_fail(v, 4, polys[4], polys[2])
 
 
 def test_psi_deletion_ordering_fails_when_out_of_order():
-    spec = parse_spec("8,8/")
     # psi at position 1 ties position 2
     low = {1: UniPoly([2, 3]), 2: UniPoly([1, 4]), 3: UniPoly([1, 3]), 4: UniPoly([1, 3])}
-    v = _psi_deletion_ordering(spec, low)
+    v = _judge_dict(low)[2]
     assert "psi at position 1 not below position 2" in v.detail
     _assert_fail(v, 2, low[1], low[2])
     # psi at position 3 above position 2, though the two are coefficientwise incomparable
     high = {1: UniPoly([1, 1]), 2: UniPoly([1, 5]), 3: UniPoly([3, 4]), 4: UniPoly([1, 3])}
-    v = _psi_deletion_ordering(spec, high)
+    v = _judge_dict(high)[2]
     assert "psi at position 3 not below position 2" in v.detail
     _assert_fail(v, 3, high[3], high[2])
 
 
-def test_merge_reports_first_failure():
-    bad = Verdict("fail", "broken", {"spec": "x"})
-    merged = _merge([Verdict("pass"), bad, Verdict("pass")])
-    assert merged is bad
-    assert not merged.ok
+def test_judge_keeps_the_first_failing_chain():
+    results = [PropertyResult(name) for name in LEMMAS]
+    chains = [
+        ((1,), [UniPoly([1, 2]), UniPoly([1, 3])]),
+        ((2,), [UniPoly([1, 3]), UniPoly([1, 2])]),
+        ((3,), [UniPoly([1, 4]), UniPoly([1, 1])]),
+    ]
+    for positions, deletions in chains:
+        tally_deletions(results, (6, 6, 4), positions, deletions)
+    ortho_min, meta_max, psi = results
+    # h = 4 last cycle: two canonical deletions, nothing deeper than position 2
+    assert (ortho_min.checked, ortho_min.vacuous) == (3, 0)
+    assert (meta_max.checked, meta_max.vacuous, meta_max.status) == (0, 3, "vacuous")
+    assert ortho_min.counterexample["spec"] == psi.counterexample["spec"] == "6,6,4/2"
+    assert ortho_min.counterexample["poly_a"] == ["1", "3"]
 
 
-def test_merge_vacuous_and_mixed():
-    assert _merge([Verdict("vacuous"), Verdict("vacuous")]).status == "vacuous"
-    mixed = _merge([Verdict("pass"), Verdict("vacuous"), Verdict("pass")])
-    assert mixed.status == "pass"
-    assert "2 of 3" in mixed.detail
+def _strictly_below(a, b):
+    """Coefficientwise a <= b and a != b, restated on padded coefficient lists."""
+    width = max(len(a.coeffs), len(b.coeffs))
+    pa = list(a.coeffs) + [0] * (width - len(a.coeffs))
+    pb = list(b.coeffs) + [0] * (width - len(b.coeffs))
+    return pa != pb and all(x <= y for x, y in zip(pa, pb))
+
+
+def _restated(deletions):
+    """(status, reason, k, a, b) of each lemma, straight from its statement."""
+    top = len(deletions)
+    d = dict(enumerate(deletions, start=1))
+    psi = {k: sum(p.coeffs) for k, p in d.items()}
+
+    def first_failure(pairs, holds):
+        for a, b in pairs:
+            if not holds(a, b):
+                return a, b
+        return None
+
+    ortho_pairs = [(1, k) for k in range(2, top + 1)]
+    meta_pairs = [(k, 2) for k in range(3, top + 1)]
+    outcomes = []
+    for pairs, holds, reason in (
+        (ortho_pairs, lambda a, b: _strictly_below(d[a], d[b]), "position {} not strictly below position {}"),
+        (meta_pairs, lambda a, b: _strictly_below(d[a], d[b]), "position {} not strictly below position {}"),
+        (ortho_pairs + meta_pairs, lambda a, b: psi[a] < psi[b], "psi at position {} not below position {}"),
+    ):
+        if not pairs:
+            outcomes.append(("vacuous", None))
+            continue
+        bad = first_failure(pairs, holds)
+        if bad is None:
+            outcomes.append(("pass", None))
+        else:
+            a, b = bad
+            outcomes.append(("fail", (reason.format(a, b), b if a == 1 else a, d[a], d[b])))
+    return outcomes
+
+
+_small_polys = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(UniPoly)
+
+
+@given(deletions=st.lists(_small_polys, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_judge_matches_restated_lemmas(deletions):
+    # coefficients 0..3 over at most four terms: ties, equal polynomials and
+    # incomparable pairs are all common
+    for result, (status, failure) in zip(_judge((9, 12), (), deletions), _restated(deletions)):
+        assert result.status == status
+        assert (result.checked, result.vacuous) == ((0, 1) if status == "vacuous" else (1, 0))
+        if failure is None:
+            assert result.counterexample is None
+            continue
+        reason, k, poly_a, poly_b = failure
+        assert result.detail == reason
+        assert result.counterexample == {
+            "spec": "9,12",
+            "k": k,
+            "poly_a": poly_a.to_coeff_strings(),
+            "poly_b": poly_b.to_coeff_strings(),
+        }
+
+
+def _part(checked, vacuous, failure=None):
+    """One subtree's tally of the three lemmas, failing with ``failure`` if given."""
+    lemmas = []
+    for name in ("deletion_min_at_ortho", "deletion_max_at_meta", "psi_deletion_ordering"):
+        lemma = PropertyResult(name, checked=checked, vacuous=vacuous)
+        if failure is not None:
+            lemma.detail, lemma.counterexample = failure, {"spec": failure}
+        lemmas.append(lemma)
+    return [SweepEntry((checked,), checked, 1, 1)], lemmas
+
+
+def test_subtree_fold_adds_counts_and_keeps_the_first_failure():
+    parts = [_part(2, 1), _part(3, 0, "first"), _part(1, 4), _part(5, 0, "second")]
+    entries, lemmas = _fold_subtrees(parts)
+    assert [e.positions for e in entries] == [(2,), (3,), (1,), (5,)]
+    for lemma in lemmas:
+        assert (lemma.checked, lemma.vacuous) == (11, 5)
+        assert lemma.status == "fail"
+        assert lemma.detail == "first"
+        assert lemma.counterexample == {"spec": "first"}
+
+
+def test_subtree_fold_vacuous_and_mixed():
+    _, lemmas = _fold_subtrees([_part(0, 2), _part(0, 1)])
+    assert [v.status for v in lemmas] == ["vacuous"] * 3
+    assert lemmas[0].detail == "nothing to check across 3 chain(s)"
+    _, lemmas = _fold_subtrees([_part(1, 0), _part(0, 1), _part(1, 0)])
+    assert [v.status for v in lemmas] == ["pass"] * 3
+    assert lemmas[0].detail == "2 of 3 chain(s) checked, rest vacuous"
 
 
 def test_extremality_verdict_fails_on_wrong_minimum():

@@ -38,6 +38,27 @@ def test_property_result_passing():
     assert r.to_json()["status"] == "pass"
 
 
+def test_property_result_status_rule():
+    r = PropertyResult("demo")
+    assert (r.status, r.passed) == ("vacuous", True)
+    r.vacuous += 2
+    assert r.status == "vacuous"
+    r.check(True, lambda: {"x": 1})
+    assert r.status == "pass"
+    r.check(False, lambda: {"x": 2})
+    assert (r.status, r.passed) == ("fail", False)
+    # a trivial comparison set is degenerate, unless a case was checked
+    assert PropertyResult("demo", degenerate=True).status == "degenerate"
+    assert PropertyResult("demo", checked=1, degenerate=True).status == "pass"
+    assert PropertyResult("demo").to_json() == {
+        "name": "demo",
+        "status": "vacuous",
+        "checked": 0,
+        "detail": "",
+        "counterexample": None,
+    }
+
+
 def test_size_lists_counts():
     assert len(list(size_lists([3, 4], [2]))) == 4
     assert len(list(size_lists([3, 4, 5], [1, 2]))) == 3 + 9
@@ -117,6 +138,26 @@ def test_verify_dominance_counts_vacuous():
     assert "1 vacuous" in by_name["meta_deletion_max"].detail
     assert by_name["ortho_deletion_min"].checked == 1
     assert by_name["psi_deletion_ordering"].checked == 1
+
+
+def test_verify_dominance_with_nothing_to_check_is_vacuous():
+    # n = 1 leaves no chain of two cycles; a triangle last cycle has one deletion
+    for h_values, n_values, skipped in (([4, 5], [1], 0), ([3], [2], 1)):
+        for r in verify_dominance(h_values, n_values):
+            assert (r.status, r.checked, r.vacuous) == ("vacuous", 0, skipped)
+            assert r.passed
+            assert r.detail == f"{skipped} vacuous chain(s) skipped"
+
+
+def test_deletion_identity_cap_is_a_constant(monkeypatch):
+    assert verification.DELETION_IDENTITY_CAP == 20
+    identity = verify_engines([5, 6], [1])[-1]
+    assert identity.detail == "graphs up to 20 vertices"
+    assert identity.checked == 5 + 6
+    monkeypatch.setattr(verification, "DELETION_IDENTITY_CAP", 5)
+    identity = verify_engines([5, 6], [1])[-1]
+    assert identity.detail == "graphs up to 5 vertices"
+    assert identity.checked == 5
 
 
 def test_count_chains_matches_enumeration():
