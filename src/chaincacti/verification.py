@@ -72,16 +72,26 @@ def all_specs(
         yield from enumerate_specs(sizes)
 
 
-def count_chains(h_values: Sequence[int], n_values: Sequence[int]) -> int:
+def count_chains(h_values: Sequence[int], n_values: range) -> int:
     """How many chains ``all_specs`` yields, found without enumerating.
 
     One cycle gives |H| chains.  n >= 2 cycles give |H|^2 * S^(n-2), with
     S the sum of floor(h/2) over H: the two end cycles take any size, and
     each internal cycle any size h with any of its floor(h/2) positions.
+    ``n_values`` is a range of step 1, so the sum over n >= 2 is a
+    geometric series, taken in closed form: a few big-int operations
+    whatever the length of the range.
     """
     m = len(h_values)
     s = sum(h // 2 for h in h_values)
-    return sum(m if n == 1 else m * m * s ** (n - 2) for n in n_values if n >= 1)
+    lo, hi = max(n_values.start, 1), n_values.stop - 1
+    count = m if lo == 1 and hi >= 1 else 0
+    lo = max(lo, 2)
+    if lo <= hi:
+        # sum of s^(n-2) over n = lo..hi
+        series = hi - lo + 1 if s == 1 else (s ** (hi - 1) - s ** (lo - 2)) // (s - 1)
+        count += m * m * series
+    return count
 
 
 # -- engines ------------------------------------------------------------------

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import chaincacti.cli as cli
+import chaincacti.extremal as extremal
 from chaincacti.cli import EXIT_INTERNAL, main
 from chaincacti.closed_forms import psi_path
+from chaincacti.polynomial import Dominance
 
 
 def run_json(capsys, argv):
@@ -188,6 +191,90 @@ def test_sweep_out_file(tmp_path, capsys):
     assert content.endswith("\n")
 
 
+def test_sweep_csv_to_stdout_and_to_a_file_are_the_same_bytes(tmp_path, capsys):
+    target = tmp_path / "report.csv"
+    assert main(["sweep", "6,6,6", "--format", "csv", "--out", str(target)]) == 0
+    assert main(["sweep", "6,6,6", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == target.read_text()
+    assert out.endswith("\n3,2066,8,6\n")
+
+
+_ENVELOPE_RUNS = [
+    ["sweep", "6,6,6,6"],
+    ["sweep", "3"],
+    ["sweep", "6^5", "--dedupe-reversal"],
+    ["sweep", "6^4", "--jobs", "2"],
+    ["poly", "6,6,6/2", "--format", "json"],
+    ["closed", "meta", "--h", "6", "--n", "5", "--format", "json"],
+    ["verify", "lemmas", "--h", "4..5", "--n", "2..3", "--format", "json"],
+]
+
+
+def _assert_laid_out_as_json_dumps(text):
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", _ENVELOPE_RUNS, ids=" ".join)
+def test_envelope_is_laid_out_as_json_dumps(argv, capsys):
+    assert main(argv) == 0
+    _assert_laid_out_as_json_dumps(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [a for a in _ENVELOPE_RUNS if a[0] == "sweep"], ids=" ".join)
+def test_sweep_out_file_is_the_stdout_envelope(argv, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    written = target.read_text()
+    _assert_laid_out_as_json_dumps(written)
+
+    def timeless(text):
+        return [line for line in text.split("\n") if not line.startswith('  "elapsed_ms": ')]
+
+    assert timeless(written) == timeless(out)
+
+
+def test_failing_sweep_envelope_is_laid_out_as_json_dumps(capsys, monkeypatch):
+    # no deletion is judged strictly below another, so two lemmas fail
+    monkeypatch.setattr(extremal, "dominance", lambda a, b: Dominance.EQUAL)
+    assert main(["sweep", "6,6,6,6"]) == 1
+    text = capsys.readouterr().out
+    _assert_laid_out_as_json_dumps(text)
+    verdicts = json.loads(text)["result"]["verdicts"]
+    assert verdicts["deletion_min_at_ortho"]["counterexample"]["spec"] == "6,6,6,6/1,1"
+    assert verdicts["deletion_max_at_meta"]["status"] == "fail"
+    assert verdicts["psi_deletion_ordering"]["status"] == "pass"
+
+
+class _CountingSink:
+    """Stands in for stdout: keeps the number of characters written, not the text."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
+def test_sweep_report_is_rendered_in_a_small_multiple_of_its_length(monkeypatch):
+    # rendering the report as one string held nine times its length; the
+    # sweep runs untraced, because tracing makes it ten times slower
+    report = extremal.sweep([8] * 7)
+    monkeypatch.setattr(extremal, "sweep", lambda *args, **kwargs: report)
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "8^7"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 300_000
+    assert peak < 5 * sink.length
+
+
 def test_sweep_out_unwritable(capsys):
     code = main(["sweep", "6,6,6", "--out", "/nonexistent-dir/report.json"])
     assert code == 4
@@ -239,6 +326,11 @@ def test_verify_past_the_cap_exits_3_at_once(capsys):
     assert main(["verify", "all", "--h", "3..12"]) == 3
     assert time.perf_counter() - started < 1.0
     assert "verify lemmas over 4413600 chains" in capsys.readouterr().err
+    # a long n range is counted in closed form, not one power per n
+    started = time.perf_counter()
+    assert main(["verify", "lemmas", "--n", "2..30000"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "exceeds the cap of 262144 chains" in capsys.readouterr().err
 
 
 def test_verify_text(capsys):

@@ -1,7 +1,9 @@
 """Dominance verdicts and position sweeps."""
 
+import io
 import json
 import time
+from collections.abc import Iterator
 
 import pytest
 
@@ -226,6 +228,9 @@ def test_subtree_fold_vacuous_and_mixed():
     _, lemmas = _fold_subtrees([_part(1, 0), _part(0, 1), _part(1, 0)])
     assert [v.status for v in lemmas] == ["pass"] * 3
     assert lemmas[0].detail == "2 of 3 chain(s) checked, rest vacuous"
+    _, lemmas = _fold_subtrees([_part(2, 0), _part(1, 0)])
+    assert [v.status for v in lemmas] == ["pass"] * 3
+    assert lemmas[0].detail == "3 of 3 chain(s) checked"
 
 
 def test_extremality_verdict_fails_on_wrong_minimum():
@@ -325,8 +330,18 @@ def test_sweep_parallel_matches_serial():
     assert serial.max_entry == parallel.max_entry
 
 
+def _materialized(report):
+    """``report.to_json()`` with its streamed lists read out."""
+    return {
+        key: list(value) if isinstance(value, Iterator) else value
+        for key, value in report.to_json().items()
+    }
+
+
 def test_sweep_csv_layout():
-    text = sweep([6, 6, 6]).to_csv()
+    buf = io.StringIO()
+    sweep([6, 6, 6]).write_csv(buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == "positions,psi,alpha,mis_count"
     assert lines[1] == "1,2002,8,5"
@@ -334,7 +349,7 @@ def test_sweep_csv_layout():
 
 
 def test_sweep_json_schema():
-    payload = sweep([6, 6, 6]).to_json()
+    payload = _materialized(sweep([6, 6, 6]))
     assert json.dumps(payload)  # serializable
     assert payload["cycle_sizes"] == [6, 6, 6]
     assert payload["count"] == 3
@@ -392,7 +407,7 @@ def test_sweep_pool_size(monkeypatch, sizes, jobs, cpus, expected):
     assert _RecordingPool.sizes == ([] if expected is None else [expected])
     serial = sweep(sizes)
     assert [e.to_json() for e in report.entries] == [e.to_json() for e in serial.entries]
-    assert report.to_json() == serial.to_json()
+    assert _materialized(report) == _materialized(serial)
 
 
 def test_sweep_cap_is_eight_to_the_eleven():
