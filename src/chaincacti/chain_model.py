@@ -13,6 +13,7 @@ convention (a single cut vertex makes all choices isomorphic).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -114,7 +115,8 @@ class ChainSpec:
 
 
 def parse_spec(text: str) -> ChainSpec:
-    """Parse ``h1,...,hn/k2,...,k(n-1)`` or the uniform shorthand ``h^n/...``.
+    """Parse ``h1,...,hn/k2,...,k(n-1)``, with the uniform shorthand ``h^n``
+    for the sizes and ``k^m`` for the positions, e.g. ``6^400/2^398``.
 
     The slash is mandatory for n >= 3 so positions are never defaulted
     silently; for n <= 2 it may be omitted (a bare trailing slash is also
@@ -134,7 +136,7 @@ def parse_spec(text: str) -> ChainSpec:
         raise SpecError(
             f"{text!r} has {len(sizes)} cycles but no '/': positions are required"
         )
-    positions = tuple(_parse_int(t, "position") for t in _split(pos_part))
+    positions = _parse_list(pos_part, "position")
     return ChainSpec(sizes, positions)
 
 
@@ -151,17 +153,22 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def _parse_sizes(part: str) -> tuple[int, ...]:
-    part = part.strip()
-    if not part:
+    if not part.strip():
         raise SpecError("empty cycle size list")
+    return _parse_list(part, "cycle size")
+
+
+def _parse_list(part: str, what: str) -> tuple[int, ...]:
+    # A comma list of ints, or ``v^m`` for m copies of v.
+    part = part.strip()
     if "^" in part:
         base_s, _, rep_s = part.partition("^")
-        base = _parse_int(base_s, "cycle size")
+        base = _parse_int(base_s, what)
         rep = _parse_int(rep_s, "repeat count")
         if rep < 1:
             raise SpecError(f"repeat count {rep} < 1")
         return (base,) * rep
-    return tuple(_parse_int(t, "cycle size") for t in _split(part))
+    return tuple(_parse_int(t, what) for t in _split(part))
 
 
 def reversed_spec(spec: ChainSpec) -> ChainSpec:
@@ -189,10 +196,13 @@ def count_specs(cycle_sizes: Sequence[int]) -> int:
     """How many chains ``enumerate_specs`` yields without reversal dedupe.
 
     The product of floor(h/2) over the internal cycles, found without
-    enumerating; the sizes are checked as ``enumerate_specs`` checks them.
+    enumerating, as one power per distinct factor: a long uniform list such
+    as ``10^300000`` costs one big-int power, not a multiply per cycle.  The
+    sizes are checked as ``enumerate_specs`` checks them.
     """
     sizes = all_ones_spec(cycle_sizes).cycle_sizes
-    return math.prod(h // 2 for h in sizes[1:-1])
+    factors = collections.Counter(h // 2 for h in sizes[1:-1])
+    return math.prod(f**e for f, e in factors.items())
 
 
 def enumerate_specs(

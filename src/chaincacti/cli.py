@@ -44,7 +44,9 @@ from .closed_forms import (
     path_poly,
 )
 from .engine import (
+    CHAIN_VERTEX_CAP,
     VertexCapError,
+    count_text,
     indpoly_bruteforce,
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
@@ -164,6 +166,14 @@ def _parse_labels(text: str, spec: ChainSpec) -> list[VertexLabel]:
     return labels
 
 
+def _check_chain_cap(num_vertices: int, what: str) -> None:
+    """Refuse a chain past ``CHAIN_VERTEX_CAP`` before any work starts."""
+    if num_vertices > CHAIN_VERTEX_CAP:
+        raise VertexCapError(
+            f"{what} of {num_vertices} vertices exceeds the cap of {CHAIN_VERTEX_CAP} vertices"
+        )
+
+
 # -- poly ----------------------------------------------------------------------
 
 
@@ -174,6 +184,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
     engine = args.engine
     note = None
 
+    if engine == "transfer":
+        _check_chain_cap(spec.num_vertices, "chain")
     deletions = _parse_labels(args.delete, spec) if args.delete else []
     transfer_deletion = (
         len(deletions) == 1
@@ -242,6 +254,8 @@ def cmd_closed(args: argparse.Namespace) -> int:
     family = args.family
     n = args.n
 
+    if family in ("path", "cycle"):
+        _check_chain_cap(n, family)
     if family == "path":
         poly = path_poly(n)
         payload = _poly_payload(poly)
@@ -252,6 +266,8 @@ def cmd_closed(args: argparse.Namespace) -> int:
         h = args.h
         if h is None:
             raise SpecError(f"--h is required for {family}")
+        # n cycles of h vertices share n - 1 cut vertices
+        _check_chain_cap(n * (h - 1) + 1, f"{family} chain")
         if family == "ortho":
             poly = ortho_poly(h, n)
             payload = _poly_payload(poly)
@@ -354,7 +370,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             count = count_chains(hs, ns)
             if count > SWEEP_CAP:
                 raise VertexCapError(
-                    f"verify {suite} over {count} chains exceeds the cap of {SWEEP_CAP} chains"
+                    f"verify {suite} over {count_text(count)} chains"
+                    f" exceeds the cap of {SWEEP_CAP} chains"
                 )
         plan.append((suite, hs, ns))
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .polynomial import UniPoly
+from .polynomial import ONE, ZERO, UniPoly, row_times_matrices
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +98,9 @@ def ortho_poly(h: int, n: int) -> UniPoly:
 
     For n >= 3 the two-term recurrence
     i(O_n) = x*i(P_{h-3})^2 * i(O_{n-2}) + i(P_{h-2}) * i(O_{n-1})
-    is iterated keeping only the last two values.
+    is one step (i(O_{n-1}), i(O_{n-2})) -> (i(O_n), i(O_{n-1})) by the
+    companion matrix [[i(P_{h-2}), 1], [x*i(P_{h-3})^2, 0]], taken n - 2
+    times from (i(O_2), i(O_1)) by a product tree.
     """
     if h < 3:
         raise ValueError(f"cycle size {h} < 3")
@@ -107,12 +109,21 @@ def ortho_poly(h: int, n: int) -> UniPoly:
     if n <= 2:
         return _short_chain_poly(h, n)
     side = path_poly(h - 3)
-    bridge = (side * side).shift(1)
-    step = path_poly(h - 2)
-    older, newer = _short_chain_poly(h, 1), _short_chain_poly(h, 2)
-    for _ in range(3, n + 1):
-        older, newer = newer, bridge * older + step * newer
-    return newer
+    companion = (path_poly(h - 2), ONE, (side * side).shift(1), ZERO)
+    return _iterate(companion, h, n)
+
+
+#: [[1, 0], [0, 0]]: the last factor when only a row's first entry is read.
+_FIRST = (ONE, ZERO, ZERO, ZERO)
+
+
+def _iterate(companion, h: int, n: int) -> UniPoly:
+    # i(chain_n) from (i(chain_2), i(chain_1)) and n - 2 companion steps.
+    # Only the first entry of the last row is read, so the steps end in
+    # _FIRST, whose zero column makes half the products of the tree's right
+    # spine free.
+    start = (_short_chain_poly(h, 2), _short_chain_poly(h, 1))
+    return row_times_matrices(start, [companion] * (n - 2) + [_FIRST])[0]
 
 
 def meta_recurrence_coeffs(h: int) -> tuple[UniPoly, UniPoly]:
@@ -141,7 +152,9 @@ def meta_poly(h: int, n: int) -> UniPoly:
     """Independence polynomial of the meta-chain of n cycles of size h.
 
     Lengths 0..2 coincide with the ortho-chain.  For n >= 3 a meta position
-    needs room for a cut vertex at distance 2, hence h >= 4.
+    needs room for a cut vertex at distance 2, hence h >= 4, and the
+    recurrence of ``meta_recurrence_coeffs`` is iterated as ``ortho_poly``
+    iterates its own, by the companion matrix [[a, 1], [-x^2*b, 0]].
     """
     if h < 3:
         raise ValueError(f"cycle size {h} < 3")
@@ -152,10 +165,7 @@ def meta_poly(h: int, n: int) -> UniPoly:
     if h == 3:
         raise ValueError("meta-position requires h >= 4")
     a, b = meta_recurrence_coeffs(h)
-    older, newer = _short_chain_poly(h, 1), _short_chain_poly(h, 2)
-    for _ in range(3, n + 1):
-        older, newer = newer, a * newer - (b * older).shift(2)
-    return newer
+    return _iterate((a, ONE, ZERO - b.shift(2), ZERO), h, n)
 
 
 def alpha_ortho(h: int, n: int) -> int:

@@ -8,10 +8,11 @@
   i(G) = i(G - u) + x * i(G - N[u]) on a maximum-degree pivot, with
   component factorization and memoization, on an explicit stack; works on
   any graph.
-- ``indpoly_chain``: a left-to-right transfer scan that exploits the chain
+- ``indpoly_chain``: the transfer method, which exploits the chain
   structure: a start state times one cached 2x2 polynomial step matrix
-  M(h, k) per cycle; linear in the number of cycles.  ``walk_chains`` runs
-  the same scan over every chain of a size list, one step per shared prefix.
+  M(h, k) per cycle, multiplied out by a balanced product tree on long
+  chains.  ``walk_chains`` scans every chain of a size list step by step,
+  one step per shared prefix.
 
 All three return exact integer-coefficient polynomials and must agree; the
 verification module checks that exhaustively at desk scale.
@@ -19,24 +20,46 @@ verification module checks that exhaustively at desk scale.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .chain_model import ChainSpec, LabeledGraph, SpecError, all_ones_spec
 from .closed_forms import path_poly
 from .kernels import count_independent_sets
-from .polynomial import ONE, X, UniPoly
+from .polynomial import KRONECKER_TERMS, ONE, X, ZERO, UniPoly, row_times_matrices
 
 #: Hard ceiling for brute-force enumeration.
 BRUTE_FORCE_CAP = 32
 
 
+#: Largest chain, in vertices, that ``poly`` on the transfer engine and
+#: ``closed`` accept.  At the cap, ``closed ortho --h 3 --n 15000`` takes
+#: about 50 s and 340 MB on a 2-core Xeon VM.
+CHAIN_VERTEX_CAP = 30_001
+
+
 class VertexCapError(ValueError):
     """A request beyond an engine's reach.
 
-    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices and for a sweep
-    past ``extremal.SWEEP_CAP`` chains.
+    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, for a sweep
+    past ``extremal.SWEEP_CAP`` chains and, in the CLI, for a transfer or
+    closed-form chain past ``CHAIN_VERTEX_CAP`` vertices.
     """
+
+
+def count_text(count: int) -> str:
+    """A count for a cap message: in full up to 30 digits, else its digit count."""
+    if count < 10**30:
+        return str(count)
+    # The digit count from the bit length, corrected by at most one power of
+    # ten, so that a count of any size is never converted to a string.
+    digits = int((count.bit_length() - 1) * math.log10(2)) + 1
+    if count >= 10**digits:
+        digits += 1
+    elif count < 10 ** (digits - 1):
+        digits -= 1
+    return f"a {digits:,}-digit number of"
 
 
 def _check_indpoly(p: UniPoly, num_vertices: int) -> UniPoly:
@@ -203,13 +226,18 @@ def _step(state: TransferState, h: int, k: int) -> TransferState:
     return TransferState(p * pp + q * qp, p * pq + q * qq)
 
 
+def _steps(spec: ChainSpec, through_cycle: int) -> list:
+    # M(h_1, 1), M(h_2, k_2), ..., through cycle ``through_cycle``: the
+    # first cycle is left at position 1, internal cycle j at k_j.
+    sizes = spec.cycle_sizes[:through_cycle]
+    return [_step_matrix(h, k) for h, k in zip(sizes, (1, *spec.positions))]
+
+
 @lru_cache(maxsize=4096)
-def _scan(spec: ChainSpec, through_cycle: int) -> TransferState:
-    # The first cycle is left at position 1, internal cycle j at k_j.
-    state = _START
-    for h, k in zip(spec.cycle_sizes[:through_cycle], (1, *spec.positions)):
-        state = _step(state, h, k)
-    return state
+def _prefix_state(spec: ChainSpec, through_cycle: int) -> TransferState:
+    # Cached, so the per-position deletion queries of the verification suite
+    # pay for the prefix once per spec.
+    return TransferState(*row_times_matrices(_START, _steps(spec, through_cycle)))
 
 
 def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
@@ -217,13 +245,12 @@ def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
 
     The exit vertex is the attachment position on cycle ``through_cycle``:
     position 1 on the first cycle, the spec's position on internal ones.
-    Recently scanned prefixes are cached, so the per-position deletion
-    queries of the extremal module pay for the scan once per spec.
+    Recently computed prefixes are cached.
     """
     n = spec.length
     if not 1 <= through_cycle <= n - 1:
         raise SpecError(f"through_cycle {through_cycle} outside 1..{n - 1}")
-    return _scan(spec, through_cycle)
+    return _prefix_state(spec, through_cycle)
 
 
 def _deletion(state: TransferState, h: int, k: int) -> UniPoly:
@@ -248,20 +275,39 @@ def _close(
     return _check_indpoly(chain, num_vertices), deletions
 
 
+def _scan_times(spec: ChainSpec, u: UniPoly, v: UniPoly) -> UniPoly:
+    # The state before the last cycle times the column (u, v).
+    if spec.num_vertices < 2 * KRONECKER_TERMS:
+        # Every product is small: share the cached prefix with the chain's
+        # other queries.
+        p, q = _prefix_state(spec, spec.length - 1)
+        return p * u + q * v
+    # The column is the first one of a last matrix whose second is zero, so
+    # half the products of the tree's right spine are free: its top level
+    # makes two large products, not four.
+    matrices = _steps(spec, spec.length - 1) + [(u, ZERO, v, ZERO)]
+    return row_times_matrices(_START, matrices)[0]
+
+
 def indpoly_chain(spec: ChainSpec) -> UniPoly:
-    """Independence polynomial of a chain cactus by the transfer scan."""
-    n = spec.length
-    if n < 1:
+    """Independence polynomial of a chain cactus by the transfer method.
+
+    The chain's sets avoid or take v_1 of the last cycle, so its polynomial
+    is the state before that cycle times the column (pp + pq, qp + qq) of
+    M(h_n, 1).
+    """
+    if spec.length < 1:
         raise SpecError("chain engine requires at least one cycle")
-    return _close(_scan(spec, n - 1), spec.cycle_sizes[-1], spec.num_vertices, 1)[0]
+    pp, pq, qp, qq = _step_matrix(spec.cycle_sizes[-1], 1)
+    return _check_indpoly(_scan_times(spec, pp + pq, qp + qq), spec.num_vertices)
 
 
 def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     """Independence polynomial of the chain with vertex k of the last cycle removed.
 
     k runs over 1..h_n - 1 (position h_n is the cut vertex shared with the
-    previous cycle).  The sets of the chain that avoid v_k are the ``p``
-    half of the scan after the last cycle, left at position k.
+    previous cycle).  The sets of the chain that avoid v_k are the state
+    before the last cycle times the ``p`` column (pp, qp) of M(h_n, k).
     """
     n = spec.length
     if n < 2:
@@ -269,7 +315,8 @@ def indpoly_chain_minus_last_vertex(spec: ChainSpec, k: int) -> UniPoly:
     h = spec.cycle_sizes[-1]
     if not 1 <= k <= h - 1:
         raise SpecError(f"deleted position {k} outside 1..{h - 1}")
-    return _check_indpoly(_deletion(_scan(spec, n - 1), h, k), spec.num_vertices - 1)
+    pp, _, qp, _ = _step_matrix(h, k)
+    return _check_indpoly(_scan_times(spec, pp, qp), spec.num_vertices - 1)
 
 
 def walk_chains(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from .chain_model import ChainSpec, SpecError, count_specs
-from .engine import VertexCapError, walk_chains
+from .engine import VertexCapError, count_text, walk_chains
 from .polynomial import Dominance, UniPoly, dominance
 
 
@@ -277,7 +277,7 @@ def sweep(
     count = count_specs(sizes)
     if count > SWEEP_CAP:
         raise VertexCapError(
-            f"sweep over {count} chains exceeds the cap of {SWEEP_CAP} chains"
+            f"sweep over {count_text(count)} chains exceeds the cap of {SWEEP_CAP} chains"
         )
     subtrees = sizes[1] // 2 if len(sizes) >= 3 else 1
     workers = min(jobs, subtrees, os.cpu_count() or 1)

@@ -6,6 +6,8 @@ import pickle
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaincacti.chain_model import (
     ChainSpec,
@@ -68,6 +70,30 @@ def test_construction_reports_offending_cycle():
 def test_construction_canonicalizes_positions():
     assert ChainSpec((6, 6, 6), (4,)) == ChainSpec((6, 6, 6), (2,))
     assert ChainSpec([6, 6, 6], [4]).positions == (2,)
+
+
+def test_parse_position_shorthand():
+    assert parse_spec("6^400/2^398") == ChainSpec((6,) * 400, (2,) * 398)
+    assert parse_spec("40^80/ 1^78 ") == ChainSpec((40,) * 80, (1,) * 78)
+    assert parse_spec("6^3/5^1") == ChainSpec((6, 6, 6), (1,))
+    # the text form stays the comma list
+    assert parse_spec("6^4/2^2").to_text() == "6,6,6,6/2,2"
+    for bad in ("6^4/2^0", "6^4/2^3", "6^4/x^2", "6^4/2^y", "6^4/2^1,2"):
+        with pytest.raises(SpecError):
+            parse_spec(bad)
+
+
+@given(
+    st.lists(st.integers(min_value=3, max_value=12), min_size=1, max_size=8).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            st.tuples(*[st.integers(min_value=1, max_value=h - 1) for h in sizes[1:-1]]),
+        )
+    )
+)
+def test_text_round_trips_through_the_parser(sizes_and_positions):
+    spec = ChainSpec(*sizes_and_positions)
+    assert parse_spec(spec.to_text()) == spec
 
 
 def test_text_round_trip():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chaincacti.cli as cli
+import chaincacti.engine as engine
 import chaincacti.extremal as extremal
 from chaincacti.cli import EXIT_INTERNAL, main
 from chaincacti.closed_forms import psi_path
@@ -333,6 +334,66 @@ def test_verify_past_the_cap_exits_3_at_once(capsys):
     assert "exceeds the cap of 262144 chains" in capsys.readouterr().err
 
 
+def test_cap_messages_give_a_long_count_as_its_digit_count(capsys):
+    # 25 * (14^29999 - 1) / 13 chains, 34,383 digits
+    count = 25 * (14**29999 - 1) // 13
+    assert 10**34382 <= count < 10**34383
+    assert main(["verify", "lemmas", "--n", "2..30000"]) == 3
+    err = capsys.readouterr().err
+    assert "verify lemmas over a 34,383-digit number of chains exceeds the cap" in err
+    assert len(err) < 100
+    # 5^299998 chains, 209,690 digits
+    assert 10**209689 <= 5**299998 < 10**209690
+    started = time.perf_counter()
+    assert main(["sweep", "10^300000"]) == 3
+    assert time.perf_counter() - started < 0.5
+    err = capsys.readouterr().err
+    assert "sweep over a 209,690-digit number of chains exceeds the cap" in err
+    assert len(err) < 100
+    # a count of 30 digits is still given in full
+    assert engine.count_text(10**30 - 1) == "9" * 30
+    assert engine.count_text(10**30) == "a 31-digit number of"
+    assert engine.count_text(10**31 - 1) == "a 31-digit number of"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "6^100000/2^99998"],
+        ["poly", "6^100000/2^99998", "--delete", "n:2"],
+        ["closed", "ortho", "--h", "3", "--n", "1000000"],
+        ["closed", "meta", "--h", "1000000", "--n", "3"],
+        ["closed", "path", "--n", "100000000"],
+    ],
+)
+def test_long_chains_past_the_vertex_cap_exit_3_at_once(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 1.0
+    assert f"exceeds the cap of {cli.CHAIN_VERTEX_CAP} vertices" in capsys.readouterr().err
+
+
+def test_the_vertex_cap_is_a_count_of_vertices(capsys, monkeypatch):
+    # 5 hexagons have 26 vertices: accepted at a cap of 26, refused at 25
+    monkeypatch.setattr(cli, "CHAIN_VERTEX_CAP", 26)
+    assert main(["poly", "6^5/2^3", "--no-crosscheck"]) == 0
+    assert main(["closed", "meta", "--h", "6", "--n", "5"]) == 0
+    monkeypatch.setattr(cli, "CHAIN_VERTEX_CAP", 25)
+    assert main(["poly", "6^5/2^3"]) == 3
+    assert main(["closed", "meta", "--h", "6", "--n", "5"]) == 3
+    # the recursive engine and brute force have caps of their own
+    assert main(["poly", "6^5/2^3", "--engine", "recursive"]) == 0
+    capsys.readouterr()
+
+
+def test_poly_accepts_the_position_shorthand(capsys):
+    code, typed = run_json(capsys, ["poly", "6^40/2^38", "--format", "json"])
+    assert code == 0
+    listed_spec = ",".join(["6"] * 40) + "/" + ",".join(["2"] * 38)
+    code, listed = run_json(capsys, ["poly", listed_spec, "--format", "json"])
+    assert typed["result"] == listed["result"]
+
+
 def test_verify_text(capsys):
     assert main(["verify", "engines", "--h", "3..4", "--n", "1..2"]) == 0
     out = capsys.readouterr().out
@@ -416,7 +477,8 @@ import sys
 from chaincacti import cli
 assert cli.main(["poly", "3", "--format", "json"]) == 0
 assert cli.main(["closed", "ortho", "--h", "6", "--n", "4"]) == 0
-unused = ["chaincacti.extremal", "chaincacti.verification", "multiprocessing", "dataclasses", "csv"]
+unused = ["chaincacti.extremal", "chaincacti.verification", "multiprocessing", "dataclasses", "csv",
+          "decimal", "_decimal"]
 print("loaded:", [m for m in unused if m in sys.modules])
 from chaincacti import sweep, PropertyResult
 print("lazy:", sweep.__module__, PropertyResult.__module__)

@@ -205,3 +205,34 @@ def test_alpha_and_count_argument_errors():
         count_mis_ortho(6, 1)
     with pytest.raises(ValueError):
         count_mis_meta(3, 4)
+
+
+def _loop_ortho(h: int, n: int) -> UniPoly:
+    # The ortho recurrence as a plain loop over the last two values.
+    side = path_poly(h - 3)
+    bridge, step = (side * side).shift(1), path_poly(h - 2)
+    older, newer = cycle_poly(h), ortho_poly(h, 2)
+    for _ in range(3, n + 1):
+        older, newer = newer, bridge * older + step * newer
+    return newer
+
+
+def _loop_meta(h: int, n: int) -> UniPoly:
+    a, b = meta_recurrence_coeffs(h)
+    older, newer = cycle_poly(h), meta_poly(h, 2)
+    for _ in range(3, n + 1):
+        older, newer = newer, a * newer - (b * older).shift(2)
+    return newer
+
+
+@pytest.mark.parametrize(
+    "h,n", [(3, 300), (4, 300), (5, 129), (6, 300), (7, 64), (9, 100), (16, 40), (40, 12)]
+)
+def test_long_ortho_and_meta_equal_the_loop_and_the_engine(h, n):
+    ortho = ortho_poly(h, n)
+    assert ortho == _loop_ortho(h, n)
+    assert ortho == indpoly_chain(ChainSpec((h,) * n, (1,) * (n - 2)))
+    if h >= 4:
+        meta = meta_poly(h, n)
+        assert meta == _loop_meta(h, n)
+        assert meta == indpoly_chain(ChainSpec((h,) * n, (2,) * (n - 2)))

@@ -25,7 +25,7 @@ from chaincacti.closed_forms import cycle_poly, meta_recurrence_coeffs, path_pol
 from chaincacti.engine import (
     BRUTE_FORCE_CAP,
     VertexCapError,
-    _scan,
+    _prefix_state,
     _step,
     _step_matrix,
     indpoly_bruteforce,
@@ -102,7 +102,8 @@ def test_recursive_matches_bruteforce_on_random_graphs(data):
 
 
 def test_chain_engine_on_single_cycles():
-    for h in range(3, 11):
+    # 127 and 128 vertices sit on either side of the scan/tree boundary
+    for h in (*range(3, 11), 127, 128, 300):
         assert indpoly_chain(ChainSpec((h,), ())) == cycle_poly(h)
 
 
@@ -209,7 +210,7 @@ def test_walk_matches_the_per_chain_scan_and_the_recursive_engine(n):
         for spec, (_, poly, deletions) in zip(specs, leaves):
             assert poly == indpoly_chain(spec)
             assert len(deletions) == h // 2
-            state = _scan(spec, n - 1)
+            state = _prefix_state(spec, n - 1)
             for k, deleted in enumerate(deletions, start=1):
                 assert deleted == _step(state, h, k).p
             if spec.num_vertices <= 20:
@@ -283,3 +284,38 @@ def test_indpoly_check_survives_optimized_mode():
     )
     assert proc.returncode != 0
     assert "AssertionError: empty set must be counted once" in proc.stderr
+
+
+def _sequential_chain(spec: ChainSpec) -> tuple[UniPoly, UniPoly]:
+    # The transfer scan one step per cycle: the state (p, q) before the last
+    # cycle, then the chain's polynomial and i(A - v_2) (or v_1 when h_n = 3).
+    p, q = UniPoly([1]), UniPoly([0, 1])
+    for h, k in zip(spec.cycle_sizes[:-1], (1, *spec.positions)):
+        pp, pq, qp, qq = _step_matrix(h, k)
+        p, q = p * pp + q * qp, p * pq + q * qq
+    pp, pq, qp, qq = _step_matrix(spec.cycle_sizes[-1], 1)
+    chain = p * (pp + pq) + q * (qp + qq)
+    pp, _, qp, _ = _step_matrix(spec.cycle_sizes[-1], min(2, spec.cycle_sizes[-1] - 1))
+    return chain, p * pp + q * qp
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=300))
+def test_chain_product_tree_equals_a_sequential_scan(seed, n):
+    # Mixed sizes and positions, so that no two halves of the tree commute;
+    # about 1,500 vertices at most, so that the scan stays quick.
+    rng = random.Random(seed)
+    h_max = min(40, max(3, 1500 // n))
+    sizes = [rng.randint(3, h_max) for _ in range(n)]
+    if rng.random() < 0.5:
+        # runs of equal cycles, so the tree also powers and splits runs
+        sizes = [sizes[i - i % 7] for i in range(n)]
+    positions = [rng.randint(1, h - 1) for h in sizes[1:-1]]
+    if rng.random() < 0.5:
+        positions = [min(2, h // 2) for h in sizes[1:-1]]
+    spec = ChainSpec(sizes, positions)
+    chain, deleted = _sequential_chain(spec)
+    assert indpoly_chain(spec) == chain
+    if n >= 2:
+        k = min(2, sizes[-1] - 1)
+        assert indpoly_chain_minus_last_vertex(spec, k) == deleted

@@ -1,10 +1,14 @@
 """Polynomial arithmetic, rendering, and dominance classification."""
 
+import random
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincacti.polynomial import ONE, ZERO, Dominance, UniPoly, dominance
+from chaincacti import polynomial
+from chaincacti.polynomial import ONE, ZERO, Dominance, UniPoly, dominance, row_times_matrices
 
 P4 = UniPoly([1, 4, 3])
 P5 = UniPoly([1, 5, 6, 1])
@@ -164,3 +168,109 @@ def test_dominance_matches_the_padded_definition(a, b):
         (False, False): Dominance.INCOMPARABLE,
     }[le, ge]
     assert dominance(a, b) is expected
+
+
+# -- large products and the matrix product tree ---------------------------------
+
+
+def _schoolbook(a: UniPoly, b: UniPoly) -> UniPoly:
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return UniPoly(out)
+
+
+K = polynomial.KRONECKER_TERMS
+signed_terms = st.lists(
+    st.integers(min_value=-(10**40), max_value=10**40), min_size=0, max_size=2 * K + 8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_terms, signed_terms)
+def test_kronecker_product_equals_schoolbook_across_the_threshold(a, b):
+    a, b = UniPoly(a), UniPoly(b)
+    assert a * b == _schoolbook(a, b)
+
+
+@pytest.mark.parametrize("sign_a,sign_b", [(1, 1), (1, -1), (-1, -1)])
+@pytest.mark.parametrize("digits", [1, 2, 30])
+def test_kronecker_product_at_the_slot_bound(sign_a, sign_b, digits):
+    # Every coefficient is the largest of its digit count, so the middle
+    # coefficient of the product is exactly the bound the slot width is
+    # taken from; K copies make its leading digit at least 5, so a slot one
+    # digit short overflows, with either sign.
+    top = 10**digits - 1
+    for m in (K, K + 1, 3 * K):
+        a = UniPoly([sign_a * top] * m)
+        b = UniPoly([sign_b * top] * (m + 1))
+        assert a * b == _schoolbook(a, b)
+        assert (a * b).coeffs[m - 1] == sign_a * sign_b * m * top * top
+    # one operand of one term, or zero, never reaches the decimal path
+    big = UniPoly([top] * (2 * K))
+    assert big * UniPoly([-top]) == _schoolbook(big, UniPoly([-top]))
+    assert big * ZERO == ZERO == ZERO * big
+
+
+def test_large_products_fall_back_without_the_c_decimal_module(monkeypatch):
+    rng = random.Random(7)
+    a = UniPoly([rng.randrange(-(10**50), 10**50) for _ in range(3 * K)])
+    b = UniPoly([rng.randrange(10**50) for _ in range(2 * K)])
+    expected = _schoolbook(a, b)
+    polynomial._decimal_context.cache_clear()
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    try:
+        assert polynomial._decimal_context() is None
+        assert a * b == expected
+    finally:
+        polynomial._decimal_context.cache_clear()
+    monkeypatch.undo()
+    assert polynomial._decimal_context() is not None
+    assert a * b == expected
+
+
+def test_large_products_respect_the_int_digit_limit(monkeypatch):
+    # Slots wider than the interpreter's int/str digit limit are not packed:
+    # the product falls back to the schoolbook loop instead of raising.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit on this interpreter")
+    a = UniPoly([10**700 + i for i in range(K)])
+    expected = _schoolbook(a, a)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert a * a == expected
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _scan(row, matrices):
+    p, q = row
+    for a, b, c, d in matrices:
+        p, q = p * a + q * c, p * b + q * d
+    return p, q
+
+
+def _random_matrix(rng: random.Random) -> tuple[UniPoly, ...]:
+    def entry():
+        if rng.random() < 0.15:
+            return ZERO
+        return UniPoly([rng.randrange(-3, 8) for _ in range(rng.randrange(1, 4))])
+
+    return tuple(entry() for _ in range(4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=300))
+def test_row_times_matrices_equals_a_scan(seed, length):
+    # Runs of a few distinct matrices, so the tree powers runs and also
+    # splits runs at its halves; the order of the factors matters.
+    rng = random.Random(seed)
+    pool = [_random_matrix(rng) for _ in range(rng.randrange(1, 4))]
+    matrices = []
+    while len(matrices) < length:
+        matrices.extend([rng.choice(pool)] * rng.randrange(1, 40))
+    matrices = matrices[:length]
+    row = (UniPoly([1, rng.randrange(3)]), UniPoly([0, 1]))
+    assert row_times_matrices(row, matrices) == _scan(row, matrices)
