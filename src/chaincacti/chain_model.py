@@ -214,12 +214,29 @@ def enumerate_specs(
     each {positions, reversed positions} pair is emitted.
     """
     sizes = all_ones_spec(cycle_sizes).cycle_sizes
-    palindrome = sizes == sizes[::-1]
+    for positions in position_sequences(sizes, dedupe_reversal):
+        yield ChainSpec(sizes, positions)
+
+
+def position_sequences(
+    sizes: tuple[int, ...], dedupe_reversal: bool = False, first: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The canonical position sequences of a checked size list, lexicographically.
+
+    With ``dedupe_reversal`` and a palindromic size list, only the smaller of
+    each {positions, reversed positions} pair is yielded.  ``first`` keeps
+    the sequences whose first internal position is ``first``.
+    """
     ranges = [range(1, h // 2 + 1) for h in sizes[1 : len(sizes) - 1]]
-    for pos in itertools.product(*ranges):
-        if dedupe_reversal and palindrome and pos[::-1] < pos:
+    if first is not None:
+        if not (ranges and first in ranges[0]):
+            raise SpecError(f"first position {first} outside the size list's range")
+        ranges[0] = range(first, first + 1)
+    palindrome = dedupe_reversal and sizes == sizes[::-1]
+    for positions in itertools.product(*ranges):
+        if palindrome and positions[::-1] < positions:
             continue
-        yield ChainSpec(sizes, pos)
+        yield positions
 
 
 class LabeledGraph:

@@ -345,7 +345,9 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .extremal import SWEEP_CAP
     from .verification import (
+        RECURRENCE_VERTEX_CAP,
         count_chains,
+        recurrence_vertices,
         verify_dominance,
         verify_engines,
         verify_recurrences,
@@ -355,7 +357,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fmt = _default_format(args.format, ("text", "json"), "text")
     suites = ["engines", "recurrences", "lemmas"] if args.suite == "all" else [args.suite]
 
-    # Every range is counted before any suite runs, so that an oversized
+    # Every range is measured before any suite runs, so that an oversized
     # range is refused at once, also when it comes last in ``verify all``.
     plan = []
     for suite in suites:
@@ -366,7 +368,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             n_lo = max(n_lo, 2)  # a deletion lemma needs two cycles
         hs = range(h_lo, h_hi + 1)
         ns = range(n_lo, n_hi + 1)
-        if suite != "recurrences":
+        if suite == "recurrences":
+            largest, total = recurrence_vertices(hs, ns)
+            _check_chain_cap(largest, "verify recurrences chain")
+            if total > RECURRENCE_VERTEX_CAP:
+                raise VertexCapError(
+                    f"verify recurrences over {count_text(total)} vertices in all"
+                    f" exceeds the cap of {RECURRENCE_VERTEX_CAP} vertices"
+                )
+        else:
             count = count_chains(hs, ns)
             if count > SWEEP_CAP:
                 raise VertexCapError(

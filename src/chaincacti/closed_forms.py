@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .polynomial import ONE, ZERO, UniPoly, row_times_matrices
+from .polynomial import ONE, ZERO, UniPoly, row_product_column
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +113,11 @@ def ortho_poly(h: int, n: int) -> UniPoly:
     return _iterate(companion, h, n)
 
 
-#: [[1, 0], [0, 0]]: the last factor when only a row's first entry is read.
-_FIRST = (ONE, ZERO, ZERO, ZERO)
-
-
 def _iterate(companion, h: int, n: int) -> UniPoly:
-    # i(chain_n) from (i(chain_2), i(chain_1)) and n - 2 companion steps.
-    # Only the first entry of the last row is read, so the steps end in
-    # _FIRST, whose zero column makes half the products of the tree's right
-    # spine free.
+    # i(chain_n): the first entry of (i(chain_2), i(chain_1)) after n - 2
+    # companion steps.
     start = (_short_chain_poly(h, 2), _short_chain_poly(h, 1))
-    return row_times_matrices(start, [companion] * (n - 2) + [_FIRST])[0]
+    return row_product_column(start, [companion] * (n - 2), (ONE, ZERO))
 
 
 def meta_recurrence_coeffs(h: int) -> tuple[UniPoly, UniPoly]:

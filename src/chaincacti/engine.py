@@ -24,10 +24,18 @@ import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .chain_model import ChainSpec, LabeledGraph, SpecError, all_ones_spec
+from .chain_model import ChainSpec, LabeledGraph, SpecError, all_ones_spec, position_sequences
 from .closed_forms import path_poly
 from .kernels import count_independent_sets
-from .polynomial import KRONECKER_TERMS, ONE, X, ZERO, UniPoly, row_times_matrices
+from .polynomial import (
+    KRONECKER_TERMS,
+    ONE,
+    X,
+    UniPoly,
+    row_product_column,
+    row_times,
+    row_times_matrices,
+)
 
 #: Hard ceiling for brute-force enumeration.
 BRUTE_FORCE_CAP = 32
@@ -219,13 +227,6 @@ def _step_matrix(h: int, k: int) -> tuple[UniPoly, UniPoly, UniPoly, UniPoly]:
     return pp, qp.shift(1), qp, qq
 
 
-def _step(state: TransferState, h: int, k: int) -> TransferState:
-    # Cross one cycle of size h that is left at position k: state x M(h, k).
-    pp, pq, qp, qq = _step_matrix(h, k)
-    p, q = state
-    return TransferState(p * pp + q * qp, p * pq + q * qq)
-
-
 def _steps(spec: ChainSpec, through_cycle: int) -> list:
     # M(h_1, 1), M(h_2, k_2), ..., through cycle ``through_cycle``: the
     # first cycle is left at position 1, internal cycle j at k_j.
@@ -253,26 +254,22 @@ def transfer_state(spec: ChainSpec, through_cycle: int) -> TransferState:
     return _prefix_state(spec, through_cycle)
 
 
-def _deletion(state: TransferState, h: int, k: int) -> UniPoly:
-    # The p column of the last step: the chain's sets that avoid v_k.  The q
-    # column (the sets that take v_k) is not needed, so it is not computed.
-    pp, _, qp, _ = _step_matrix(h, k)
-    return state.p * pp + state.q * qp
-
-
 def _close(
-    state: TransferState, h: int, num_vertices: int, top: int
+    state: tuple[UniPoly, UniPoly], h: int, num_vertices: int, top: int
 ) -> tuple[UniPoly, tuple[UniPoly, ...]]:
     # Close a chain whose prefix state before its last cycle (size h) is
-    # ``state``: its polynomial and i(A - v_k) for k = 1..top.  The chain's
-    # sets either avoid v_1 or take it, so the k = 1 deletion is reused.
-    deletions = tuple(
-        _check_indpoly(_deletion(state, h, k), num_vertices - 1)
-        for k in range(1, top + 1)
-    )
+    # ``state``: its polynomial and i(A - v_k) for k = 1..top.  i(A - v_k) is
+    # the p column of the last step, the sets that avoid v_k; the q column
+    # is not needed, so it is not computed.  The chain's sets either avoid
+    # v_1 or take it, so the k = 1 deletion is reused.
+    p, q = state
+    deletions = []
+    for k in range(1, top + 1):
+        pp, _, qp, _ = _step_matrix(h, k)
+        deletions.append(_check_indpoly(p * pp + q * qp, num_vertices - 1))
     _, pq, _, qq = _step_matrix(h, 1)
-    chain = deletions[0] + state.p * pq + state.q * qq
-    return _check_indpoly(chain, num_vertices), deletions
+    chain = deletions[0] + p * pq + q * qq
+    return _check_indpoly(chain, num_vertices), tuple(deletions)
 
 
 def _scan_times(spec: ChainSpec, u: UniPoly, v: UniPoly) -> UniPoly:
@@ -282,11 +279,7 @@ def _scan_times(spec: ChainSpec, u: UniPoly, v: UniPoly) -> UniPoly:
         # other queries.
         p, q = _prefix_state(spec, spec.length - 1)
         return p * u + q * v
-    # The column is the first one of a last matrix whose second is zero, so
-    # half the products of the tree's right spine are free: its top level
-    # makes two large products, not four.
-    matrices = _steps(spec, spec.length - 1) + [(u, ZERO, v, ZERO)]
-    return row_times_matrices(_START, matrices)[0]
+    return row_product_column(_START, _steps(spec, spec.length - 1), (u, v))
 
 
 def indpoly_chain(spec: ChainSpec) -> UniPoly:
@@ -326,37 +319,27 @@ def walk_chains(
 
     Yields ``(positions, i(A), (i(A - v_1), ..., i(A - v_m)))`` with
     m = floor(h_n/2), for the chains ``enumerate_specs`` yields, in its order
-    and with its reversal dedupe.  The walk is depth first over the trie of
-    internal positions: each node's state is one step from its parent's, so
-    a prefix shared by many chains is scanned once.  It keeps an explicit
-    stack, so chain length is not bounded by the recursion limit.  ``first``
+    and with its reversal dedupe.  The walk keeps the state after each
+    prefix of the current chain.  In lexicographic order the next chain
+    changes only a suffix of the positions, so only that suffix is scanned
+    again: a prefix shared by many chains is scanned once.  ``first``
     restricts the walk to the chains whose first internal position is
-    ``first``, which lets a sweep split the trie between processes.
+    ``first``, which lets a sweep split the chains between processes.
     """
     ones = all_ones_spec(cycle_sizes)
     sizes, num_vertices = ones.cycle_sizes, ones.num_vertices
     n, h_last = len(sizes), sizes[-1]
     internal = sizes[1 : n - 1]
-    palindrome = dedupe_reversal and sizes == sizes[::-1]
-    if first is not None and not (internal and 1 <= first <= internal[0] // 2):
-        raise SpecError(f"first position {first} outside the size list's range")
-    path = [0] * len(internal)
-    # (depth, position on cycle depth + 1, parent state); the root is the
-    # state after the first cycle, or the lone entry vertex when n = 1.
-    stack = [(0, 0, _START if n == 1 else _step(_START, sizes[0], 1))]
-    while stack:
-        depth, k, state = stack.pop()
-        if depth:
-            path[depth - 1] = k
-            state = _step(state, internal[depth - 1], k)
-        if depth < len(internal):
-            # Pushed largest first, so the children pop in lexicographic order.
-            children = range(internal[depth] // 2, 0, -1)
-            if depth == 0 and first is not None:
-                children = (first,)
-            stack.extend((depth + 1, pos, state) for pos in children)
-            continue
-        positions = tuple(path)
-        if palindrome and positions[::-1] < positions:
-            continue
-        yield (positions, *_close(state, h_last, num_vertices, h_last // 2))
+    # states[d]: the state after the first cycle and d internal ones, or the
+    # lone entry vertex when n = 1.
+    states = [_START if n == 1 else row_times(_START, _step_matrix(sizes[0], 1))]
+    previous: tuple[int, ...] = ()
+    for positions in position_sequences(sizes, dedupe_reversal, first):
+        d = 0
+        while d < len(previous) and previous[d] == positions[d]:
+            d += 1
+        del states[d + 1 :]
+        for j in range(d, len(internal)):
+            states.append(row_times(states[j], _step_matrix(internal[j], positions[j])))
+        previous = positions
+        yield (positions, *_close(states[-1], h_last, num_vertices, h_last // 2))

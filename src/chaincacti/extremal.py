@@ -266,7 +266,7 @@ def sweep(
     sequence is the unique strict psi-minimum and the all-twos sequence (when
     it exists) the unique strict maximum.
 
-    The chains come from one walk of the position trie.  With ``jobs`` > 1
+    The chains come from one walk of the position sequences.  With ``jobs`` > 1
     the walk is split at the first internal position, one subtree per task,
     over at most ``jobs`` processes, one per subtree and one per CPU.  More
     than ``SWEEP_CAP`` chains are refused before any work starts.

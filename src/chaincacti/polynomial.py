@@ -21,11 +21,6 @@ from typing import Iterable, Sequence
 #: schoolbook loop.  Measured crossover, see README.
 KRONECKER_TERMS = 64
 
-#: A matrix sequence whose product has at most this degree is multiplied
-#: into the row one step at a time; a longer one by a product tree.
-#: Measured, see README.
-SCAN_DEGREE = 32
-
 
 class Dominance(enum.Enum):
     """Outcome of comparing two polynomials coefficient by coefficient."""
@@ -106,9 +101,7 @@ class UniPoly:
         if len(a) >= KRONECKER_TERMS and len(b) >= KRONECKER_TERMS:
             context = _decimal_context()
             if context is not None:
-                product = _kronecker(a, b, context)
-                if product is not None:
-                    return UniPoly(product)
+                return UniPoly(_kronecker(a, b, context))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -187,25 +180,26 @@ def _decimal_context():
     )
 
 
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...], context) -> list[int] | None:
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], context) -> list[int]:
     # Kronecker substitution x = 10^w: the exact product of a(10^w) and
     # b(10^w) holds each coefficient of a*b in its own slot of w digits.
     # Every |coefficient| is at most bound < 10^(w-1), so a nonnegative one
     # fills its slot without a carry into the next.  With a negative operand
     # coefficient, each slot is offset by half its size, 5*10^(w-1), so that
-    # every slot value lies in (0, 10^w).  None when the interpreter's
-    # int/str digit limit is below w: the CLI lifts that limit, and library
-    # callers under the default one get the schoolbook loop.
+    # every slot value lies in (0, 10^w).  A slot wider than the
+    # interpreter's int/str digit limit is converted through ``decimal``,
+    # to which the limit does not apply; a narrower one by ``%`` and
+    # ``int``, which are faster.
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = context.create_decimal(bound).adjusted() + 2
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and bound >= 10 ** (limit - 1):
-        return None
-    w = len(str(bound)) + 1
+    wide = 0 < limit < w
     n = len(a) + len(b) - 1
-    x, y = _pack(a, w, context), _pack(b, w, context)
+    x, y = _pack(a, w, context, wide), _pack(b, w, context, wide)
     if min(a) < 0 or min(b) < 0:
         half = 5 * 10 ** (w - 1)
-        value = context.fma(x, y, context.create_decimal(str(half) * n))
+        offset = ("5" + "0" * (w - 1)) * n
+        value = context.fma(x, y, context.create_decimal(offset))
     else:
         half = 0
         value = context.multiply(x, y)
@@ -213,22 +207,27 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], context) -> list[int] | N
     del x, y
     digits = str(value)
     del value
+    to_int = (lambda slot: int(context.create_decimal(slot))) if wide else int
     # Slot k ends k*w digits from the right; the top slot may be shorter.
     out = []
     end = len(digits)
     for _ in range(n):
-        out.append(int(digits[max(end - w, 0) : end]) - half)
+        out.append(to_int(digits[max(end - w, 0) : end]) - half)
         end -= w
     return out
 
 
-def _pack(coeffs: tuple[int, ...], w: int, context):
+def _pack(coeffs: tuple[int, ...], w: int, context, wide: bool):
     # The value at x = 10^w, highest slot first, formatted in one pass;
     # negative coefficients are packed apart and subtracted.
-    slots = f"%0{w}d" * len(coeffs)
-    value = context.create_decimal(slots % tuple([max(c, 0) for c in reversed(coeffs)]))
+    def slots(values: list[int]) -> str:
+        if wide:
+            return "".join([format(context.create_decimal(c), f"0{w}") for c in values])
+        return (f"%0{w}d" * len(values)) % tuple(values)
+
+    value = context.create_decimal(slots([max(c, 0) for c in reversed(coeffs)]))
     if min(coeffs) < 0:
-        negative = slots % tuple([max(-c, 0) for c in reversed(coeffs)])
+        negative = slots([max(-c, 0) for c in reversed(coeffs)])
         value = context.subtract(value, context.create_decimal(negative))
     return value
 
@@ -240,7 +239,8 @@ Matrix = tuple[UniPoly, UniPoly, UniPoly, UniPoly]
 Row = tuple[UniPoly, UniPoly]
 
 
-def _row_times(row: Row, m: Matrix) -> Row:
+def row_times(row: Row, m: Matrix) -> Row:
+    """``row · m``: one transfer step."""
     p, q = row
     a, b, c, d = m
     return p * a + q * c, p * b + q * d
@@ -253,18 +253,14 @@ def _matrix_times(m: Matrix, n: Matrix) -> Matrix:
 
 
 def row_times_matrices(row: Row, matrices: Sequence[Matrix]) -> Row:
-    """``row · matrices[0] · matrices[1] · ...``, exactly.
+    """``row · matrices[0] · matrices[1] · ...``, exactly, by a balanced product tree.
 
-    A sequence whose product has degree at most ``SCAN_DEGREE`` is
-    multiplied into the row one step at a time.  A longer one is a balanced
-    product tree: the row times the first half, recursively, then times the
-    product of the second half, so the top level is (v·L)·R, four large
-    products rather than the eight of L·R.  Equal consecutive matrices form
-    a run whose powers are found by squaring and computed once, so a
-    uniform sequence of length n costs O(log n) matrix products.  A caller
-    that needs only one entry of the result ends the sequence with a matrix
-    whose second column is zero: then half the products of the tree's right
-    spine are free, and the top level makes two large products.
+    The row times the first half, recursively, then times the product of the
+    second half, so the top level is (v·L)·R, four large products rather
+    than the eight of L·R; the recursion ends at single steps.  Equal
+    consecutive matrices form a run whose powers are found by squaring and
+    computed once, so a uniform sequence of length n costs O(log n) matrix
+    products.
     """
     runs: list[tuple[Matrix, int]] = []
     for m in matrices:
@@ -273,6 +269,17 @@ def row_times_matrices(row: Row, matrices: Sequence[Matrix]) -> Row:
         else:
             runs.append((m, 1))
     return _row_times_runs(row, runs, len(matrices), {})
+
+
+def row_product_column(row: Row, matrices: Sequence[Matrix], column: Row) -> UniPoly:
+    """``row · matrices[0] · matrices[1] ··· column``, exactly.
+
+    The column enters as the first column of a last matrix whose second
+    column is zero, so half the products of the tree's right spine are
+    free, and the top level makes two large products rather than four.
+    """
+    u, v = column
+    return row_times_matrices(row, [*matrices, (u, ZERO, v, ZERO)])[0]
 
 
 def _split(runs: list[tuple[Matrix, int]], steps: int):
@@ -285,25 +292,17 @@ def _split(runs: list[tuple[Matrix, int]], steps: int):
     return runs, []
 
 
-def _degree(runs: list[tuple[Matrix, int]]) -> int:
-    # A bound on the degree of the product: the sum of the factors' degrees.
-    return sum(count * (max(len(e.coeffs) for e in m) - 1) for m, count in runs)
-
-
 def _row_times_runs(row: Row, runs, steps: int, powers: dict) -> Row:
-    if _degree(runs) <= SCAN_DEGREE:
-        # Every level above has its right-hand product by now, so the
-        # powers are no longer needed.
+    if not steps:
+        # The leftmost leaf: every level above has its right-hand product
+        # by now, so the powers are no longer needed.
         powers.clear()
-        for m, count in runs:
-            for _ in range(count):
-                row = _row_times(row, m)
         return row
     half = steps // 2
     left, right = _split(runs, half)
     # The right half first: its powers serve every smaller level below.
     right_product = _product(right, steps - half, powers)
-    return _row_times(_row_times_runs(row, left, half, powers), right_product)
+    return row_times(_row_times_runs(row, left, half, powers), right_product)
 
 
 def _product(runs, steps: int, powers: dict) -> Matrix:

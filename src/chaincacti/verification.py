@@ -22,6 +22,7 @@ from .chain_model import (
     ChainSpec,
     LabeledGraph,
     VertexLabel,
+    all_ones_spec,
     build,
     enumerate_specs,
     reversed_spec,
@@ -54,6 +55,11 @@ from .polynomial import UniPoly
 #: Largest graph, in vertices, whose vertex deletion identity is checked.
 DELETION_IDENTITY_CAP = 20
 
+#: Largest vertex count, summed over the (h, n) chains of a range, that
+#: ``verify recurrences`` accepts.  Ranges of many short chains at the cap
+#: take about 4 s on a 2-core Xeon VM; see README.
+RECURRENCE_VERTEX_CAP = 100_000
+
 
 def size_lists(
     h_values: Sequence[int], n_values: Sequence[int]
@@ -72,18 +78,18 @@ def all_specs(
         yield from enumerate_specs(sizes)
 
 
-def count_chains(h_values: Sequence[int], n_values: range) -> int:
+def count_chains(h_values: range, n_values: range) -> int:
     """How many chains ``all_specs`` yields, found without enumerating.
 
     One cycle gives |H| chains.  n >= 2 cycles give |H|^2 * S^(n-2), with
     S the sum of floor(h/2) over H: the two end cycles take any size, and
     each internal cycle any size h with any of its floor(h/2) positions.
-    ``n_values`` is a range of step 1, so the sum over n >= 2 is a
-    geometric series, taken in closed form: a few big-int operations
-    whatever the length of the range.
+    Both ranges have step 1, so S and the sum over n >= 2, a geometric
+    series, are taken in closed form: a few big-int operations whatever
+    the length of the ranges.
     """
     m = len(h_values)
-    s = sum(h // 2 for h in h_values)
+    s = _halves_through(h_values.stop - 1) - _halves_through(h_values.start - 1)
     lo, hi = max(n_values.start, 1), n_values.stop - 1
     count = m if lo == 1 and hi >= 1 else 0
     lo = max(lo, 2)
@@ -92,6 +98,31 @@ def count_chains(h_values: Sequence[int], n_values: range) -> int:
         series = hi - lo + 1 if s == 1 else (s ** (hi - 1) - s ** (lo - 2)) // (s - 1)
         count += m * m * series
     return count
+
+
+def _halves_through(m: int) -> int:
+    # The sum of floor(h/2) over h = 0..m is floor(m/2) * ceil(m/2), and the
+    # difference of two such sums is right for negative h too.
+    return (m // 2) * ((m + 1) // 2)
+
+
+def recurrence_vertices(h_values: range, n_values: range) -> tuple[int, int]:
+    """The largest chain and the summed vertex count of the chains that
+    ``verify_recurrences`` builds, found without enumerating.
+
+    For each size h >= 3 it builds the chain of two cycles, and one of n
+    cycles for each n >= 1 in range; n cycles of size h have n*(h-1) + 1
+    vertices.  The ranges have step 1, so the sum is a product of two
+    arithmetic series.
+    """
+    hs = range(max(h_values.start, 3), h_values.stop)
+    ns = range(max(n_values.start, 1), n_values.stop)
+    if not hs:
+        return 0, 0
+    cut = (hs[0] + hs[-1] - 2) * len(hs) // 2  # the sum of h - 1
+    lengths = (ns[0] + ns[-1]) * len(ns) // 2 if ns else 0
+    largest = max(ns[-1] if ns else 0, 2) * (hs[-1] - 1) + 1
+    return largest, (lengths + 2) * cut + len(hs) * (len(ns) + 1)
 
 
 # -- engines ------------------------------------------------------------------
@@ -195,10 +226,6 @@ def _path_graph(n: int) -> LabeledGraph:
     )
 
 
-def _ones(h: int, n: int) -> ChainSpec:
-    return ChainSpec((h,) * n, (1,) * max(n - 2, 0))
-
-
 def _twos(h: int, n: int) -> ChainSpec:
     return ChainSpec((h,) * n, (2,) * max(n - 2, 0))
 
@@ -243,11 +270,11 @@ def verify_recurrences(
         side, end = path_poly(h - 3), path_poly(h - 1)
         two = (side * side).shift(1) + end * end
         splits.check(
-            two == indpoly_chain(_ones(h, 2)),
+            two == indpoly_chain(all_ones_spec((h, h))),
             lambda: {"h": h, "relation": "length-2 chain"},
         )
 
-        engine_ones = {n: indpoly_chain(_ones(h, n)) for n in ns if n >= 1}
+        engine_ones = {n: indpoly_chain(all_ones_spec((h,) * n)) for n in ns if n >= 1}
         engine_twos = (
             {n: indpoly_chain(_twos(h, n)) for n in ns if n >= 1} if h >= 4 else {}
         )

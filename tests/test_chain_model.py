@@ -17,6 +17,7 @@ from chaincacti.chain_model import (
     count_specs,
     enumerate_specs,
     parse_spec,
+    position_sequences,
     reversed_spec,
 )
 
@@ -238,6 +239,23 @@ def test_enumerate_specs_reversal_dedupe():
         assert spec.positions in kept or spec.positions[::-1] in kept
     # a non-palindromic size list is left alone
     assert len(list(enumerate_specs([5, 6, 7], dedupe_reversal=True))) == 3
+
+
+def test_position_sequences_order_dedupe_and_first():
+    for sizes in [(6,), (6, 6), (3, 3, 3), (6, 3, 8, 5, 6), (7, 5, 9, 5, 7), (6, 6, 6, 6, 6)]:
+        ranges = [range(1, h // 2 + 1) for h in sizes[1:-1]]
+        full = list(position_sequences(sizes))
+        assert full == sorted(itertools.product(*ranges))
+        # the dedupe keeps the smaller of each reversal pair, on palindromes only
+        deduped = list(position_sequences(sizes, dedupe_reversal=True))
+        palindrome = sizes == sizes[::-1]
+        assert deduped == [p for p in full if not palindrome or p <= p[::-1]]
+        for k in ranges[0] if ranges else ():
+            assert list(position_sequences(sizes, first=k)) == [p for p in full if p[0] == k]
+    assert len(list(position_sequences((6,) * 5, dedupe_reversal=True))) == 18
+    for sizes, bad in [((6, 6, 6), 0), ((6, 6, 6), 4), ((6, 6), 1), ((6,), 1)]:
+        with pytest.raises(SpecError, match="first position"):
+            list(position_sequences(sizes, first=bad))
 
 
 def test_count_specs_matches_enumeration():

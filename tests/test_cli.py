@@ -13,6 +13,7 @@ import pytest
 import chaincacti.cli as cli
 import chaincacti.engine as engine
 import chaincacti.extremal as extremal
+import chaincacti.verification as verification
 from chaincacti.cli import EXIT_INTERNAL, main
 from chaincacti.closed_forms import psi_path
 from chaincacti.polynomial import Dominance
@@ -332,6 +333,44 @@ def test_verify_past_the_cap_exits_3_at_once(capsys):
     assert main(["verify", "lemmas", "--n", "2..30000"]) == 3
     assert time.perf_counter() - started < 1.0
     assert "exceeds the cap of 262144 chains" in capsys.readouterr().err
+
+
+def test_a_long_size_range_is_counted_in_closed_form(capsys):
+    started = time.perf_counter()
+    assert main(["verify", "lemmas", "--h", "3..30000000"]) == 3
+    assert time.perf_counter() - started < 0.3
+    assert "verify lemmas over a 59-digit number of chains" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--h", "3..3000000"], "verify recurrences chain of 23999993 vertices exceeds the cap of 30001"),
+        (["--h", "100000..100000", "--n", "8..8"], "chain of 799993 vertices exceeds the cap"),
+        (["--h", "3..20000", "--n", "0..0"], "chain of 39999 vertices exceeds the cap"),
+        (["--h", "3..40", "--n", "0..30"], "over 364971 vertices in all exceeds the cap of 100000 vertices"),
+    ],
+)
+def test_verify_recurrences_past_its_caps_exits_3_at_once(capsys, argv, message):
+    for suite in ("recurrences", "all"):
+        started = time.perf_counter()
+        assert main(["verify", suite, *argv]) == 3
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert suite == "all" or message in err
+
+
+def test_the_recurrence_cap_is_a_sum_of_vertices(capsys, monkeypatch):
+    # the default range builds chains of 1,080 vertices in all, the largest of 57
+    monkeypatch.setattr(verification, "RECURRENCE_VERTEX_CAP", 1080)
+    monkeypatch.setattr(cli, "CHAIN_VERTEX_CAP", 57)
+    assert main(["verify", "recurrences"]) == 0
+    monkeypatch.setattr(verification, "RECURRENCE_VERTEX_CAP", 1079)
+    assert main(["verify", "recurrences"]) == 3
+    monkeypatch.setattr(verification, "RECURRENCE_VERTEX_CAP", 1080)
+    monkeypatch.setattr(cli, "CHAIN_VERTEX_CAP", 56)
+    assert main(["verify", "recurrences"]) == 3
+    capsys.readouterr()
 
 
 def test_cap_messages_give_a_long_count_as_its_digit_count(capsys):

@@ -26,7 +26,6 @@ from chaincacti.engine import (
     BRUTE_FORCE_CAP,
     VertexCapError,
     _prefix_state,
-    _step,
     _step_matrix,
     indpoly_bruteforce,
     indpoly_chain,
@@ -35,7 +34,7 @@ from chaincacti.engine import (
     transfer_state,
     walk_chains,
 )
-from chaincacti.polynomial import UniPoly
+from chaincacti.polynomial import UniPoly, row_times
 
 from conftest import graph_from_edges, indpoly_subset_filter
 
@@ -212,7 +211,7 @@ def test_walk_matches_the_per_chain_scan_and_the_recursive_engine(n):
             assert len(deletions) == h // 2
             state = _prefix_state(spec, n - 1)
             for k, deleted in enumerate(deletions, start=1):
-                assert deleted == _step(state, h, k).p
+                assert deleted == row_times(state, _step_matrix(h, k))[0]
             if spec.num_vertices <= 20:
                 g = build(spec)
                 for k, deleted in enumerate(deletions, start=1):

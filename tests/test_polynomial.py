@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincacti import polynomial
-from chaincacti.polynomial import ONE, ZERO, Dominance, UniPoly, dominance, row_times_matrices
+from chaincacti.polynomial import (
+    ONE,
+    ZERO,
+    Dominance,
+    UniPoly,
+    dominance,
+    row_product_column,
+    row_times_matrices,
+)
 
 P4 = UniPoly([1, 4, 3])
 P5 = UniPoly([1, 5, 6, 1])
@@ -231,16 +239,18 @@ def test_large_products_fall_back_without_the_c_decimal_module(monkeypatch):
 
 
 def test_large_products_respect_the_int_digit_limit(monkeypatch):
-    # Slots wider than the interpreter's int/str digit limit are not packed:
-    # the product falls back to the schoolbook loop instead of raising.
+    # Slots wider than the interpreter's int/str digit limit are converted
+    # through decimal, so the product neither raises nor leaves the decimal
+    # path; with a negative coefficient every slot carries the offset too.
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int/str digit limit on this interpreter")
     a = UniPoly([10**700 + i for i in range(K)])
-    expected = _schoolbook(a, a)
+    b = UniPoly([(-1) ** i * (10**650 + 7 * i) for i in range(K + 3)])
+    expected = [_schoolbook(a, a), _schoolbook(a, b), _schoolbook(b, b)]
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(1000)
     try:
-        assert a * a == expected
+        assert [a * a, a * b, b * b] == expected
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -274,3 +284,19 @@ def test_row_times_matrices_equals_a_scan(seed, length):
     matrices = matrices[:length]
     row = (UniPoly([1, rng.randrange(3)]), UniPoly([0, 1]))
     assert row_times_matrices(row, matrices) == _scan(row, matrices)
+
+
+def _random_row(rng: random.Random) -> tuple[UniPoly, UniPoly]:
+    return tuple(UniPoly([rng.randrange(-5, 6) for _ in range(rng.randrange(0, 4))]) for _ in range(2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=12))
+def test_row_product_column_is_the_product_then_a_dot_product(seed, length):
+    rng = random.Random(seed)
+    matrices = [_random_matrix(rng) for _ in range(length)]
+    row, column = _random_row(rng), _random_row(rng)
+    for ms in (matrices, []):
+        p, q = row_times_matrices(row, ms)
+        u, v = column
+        assert row_product_column(row, ms, column) == p * u + q * v

@@ -1,11 +1,14 @@
 """Property-suite plumbing: results, enumeration helpers, result shapes."""
 
+import itertools
+
 import chaincacti.verification as verification
 from chaincacti.chain_model import ChainSpec
 from chaincacti.verification import (
     PropertyResult,
     all_specs,
     count_chains,
+    recurrence_vertices,
     size_lists,
     verify_dominance,
     verify_engines,
@@ -172,3 +175,27 @@ def test_count_chains_matches_enumeration():
     # the two CLI defaults: verify engines and verify lemmas
     assert count_chains(range(3, 9), range(1, 5)) == 8682
     assert count_chains(range(4, 9), range(2, 6)) == 73875
+
+
+def test_count_chains_sums_the_sizes_in_closed_form():
+    # |H| + |H|^2 * S on n = 1..3, against S summed term by term, also on
+    # sizes below 3 that the suites refuse later
+    for lo in range(-4, 9):
+        for hi in range(lo, 14):
+            hs = range(lo, hi + 1)
+            s = sum(h // 2 for h in hs)
+            assert count_chains(hs, range(1, 4)) == len(hs) * (1 + len(hs) * (1 + s))
+    hs = range(3, 30_000_001)
+    assert count_chains(hs, range(2, 3)) == len(hs) ** 2
+
+
+def test_recurrence_vertices_counts_the_chains_the_suite_builds():
+    # the chain of two cycles for every size h >= 3, and one of n >= 1
+    # cycles for every n in range, of n*(h-1) + 1 vertices each
+    for h_lo, h_hi, n_lo, n_hi in itertools.product(range(-1, 6), range(2, 8), range(-1, 3), range(0, 6)):
+        hs, ns = range(h_lo, h_hi + 1), range(n_lo, n_hi + 1)
+        chains = [(h, n) for h in hs if h >= 3 for n in [*(n for n in ns if n >= 1), 2]]
+        sizes = [n * (h - 1) + 1 for h, n in chains]
+        assert recurrence_vertices(hs, ns) == (max(sizes, default=0), sum(sizes))
+    # the CLI default
+    assert recurrence_vertices(range(3, 9), range(0, 9)) == (57, 1080)
