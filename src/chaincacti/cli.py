@@ -33,24 +33,17 @@ from .chain_model import (
     build,
     parse_spec,
 )
-from .closed_forms import (
-    alpha_meta,
-    alpha_ortho,
-    count_mis_meta,
-    count_mis_ortho,
-    cycle_poly,
-    meta_poly,
-    ortho_poly,
-    path_poly,
-)
+from .closed_forms import cycle_poly, meta_poly, ortho_poly, path_poly
 from .engine import (
+    BRUTE_FORCE_CAP,
     CHAIN_VERTEX_CAP,
+    MEMO_VERTEX_CAP,
     VertexCapError,
-    count_text,
     indpoly_bruteforce,
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
+    refuse_past,
 )
 from .polynomial import UniPoly
 
@@ -131,27 +124,21 @@ def _default_format(flag_value: str | None, choices: tuple[str, ...], fallback: 
 
 
 def _poly_payload(poly: UniPoly) -> dict:
-    payload: dict = {
+    deg, lead = poly.degree_and_leading()
+    return {
         "coefficients": poly.to_coeff_strings(),
         "text": str(poly),
         "psi": str(poly.eval_at_one()),
+        "alpha": deg,
+        "mis_count": str(lead),
     }
-    if poly.is_zero:
-        payload["alpha"] = None
-        payload["mis_count"] = None
-    else:
-        deg, lead = poly.degree_and_leading()
-        payload["alpha"] = deg
-        payload["mis_count"] = str(lead)
-    return payload
 
 
 def _print_poly_text(payload: dict) -> None:
     print(f"i(G) = {payload['text']}")
     print(f"psi = {payload['psi']}")
-    if payload["alpha"] is not None:
-        print(f"alpha = {payload['alpha']}")
-        print(f"mis_count = {payload['mis_count']}")
+    print(f"alpha = {payload['alpha']}")
+    print(f"mis_count = {payload['mis_count']}")
 
 
 def _parse_labels(text: str, spec: ChainSpec) -> list[VertexLabel]:
@@ -166,14 +153,6 @@ def _parse_labels(text: str, spec: ChainSpec) -> list[VertexLabel]:
     return labels
 
 
-def _check_chain_cap(num_vertices: int, what: str) -> None:
-    """Refuse a chain past ``CHAIN_VERTEX_CAP`` before any work starts."""
-    if num_vertices > CHAIN_VERTEX_CAP:
-        raise VertexCapError(
-            f"{what} of {num_vertices} vertices exceeds the cap of {CHAIN_VERTEX_CAP} vertices"
-        )
-
-
 # -- poly ----------------------------------------------------------------------
 
 
@@ -185,7 +164,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     note = None
 
     if engine == "transfer":
-        _check_chain_cap(spec.num_vertices, "chain")
+        refuse_past(spec.num_vertices, CHAIN_VERTEX_CAP, "chain of", "vertices")
     deletions = _parse_labels(args.delete, spec) if args.delete else []
     transfer_deletion = (
         len(deletions) == 1
@@ -193,30 +172,30 @@ def cmd_poly(args: argparse.Namespace) -> int:
         and deletions[0].cycle == spec.length
         and 1 <= deletions[0].position <= spec.cycle_sizes[-1] - 1
     )
+    if engine == "transfer" and deletions and not transfer_deletion:
+        note = "deletion not expressible in the transfer scan: recursive engine used"
+        engine = "recursive"
+    # at least this many vertices remain, as a cut vertex has two labels
+    graph_vertices = spec.num_vertices - len(deletions)
+    if engine != "transfer":
+        cap = BRUTE_FORCE_CAP if engine == "brute" else MEMO_VERTEX_CAP
+        refuse_past(graph_vertices, cap, f"{engine} engine on a graph of at least", "vertices")
 
-    if not deletions:
-        if engine == "transfer":
-            poly = indpoly_chain(spec)
-        elif engine == "recursive":
-            poly = indpoly_recursive(build(spec))
-        else:
-            poly = indpoly_bruteforce(build(spec))
-        graph_vertices = spec.num_vertices
-    elif engine == "transfer" and transfer_deletion:
+    def graph():
+        return build(spec).delete_vertices(deletions)
+
+    if engine == "brute":
+        poly = indpoly_bruteforce(graph())
+    elif engine == "recursive":
+        poly = indpoly_recursive(graph())
+    elif deletions:
         poly = indpoly_chain_minus_last_vertex(spec, deletions[0].position)
-        graph_vertices = spec.num_vertices - 1
     else:
-        g = build(spec).delete_vertices(deletions)
-        if engine == "transfer":
-            note = "deletion not expressible in the transfer scan: recursive engine used"
-            engine = "recursive"
-        poly = indpoly_bruteforce(g) if engine == "brute" else indpoly_recursive(g)
-        graph_vertices = g.num_vertices
+        poly = indpoly_chain(spec)
 
     crosschecked = False
     if engine == "transfer" and not args.no_crosscheck and graph_vertices <= CROSSCHECK_CAP:
-        g = build(spec).delete_vertices(deletions) if deletions else build(spec)
-        other = indpoly_recursive(g)
+        other = indpoly_recursive(graph())
         crosschecked = True
         if other != poly:
             diagnostic = {
@@ -254,34 +233,20 @@ def cmd_closed(args: argparse.Namespace) -> int:
     family = args.family
     n = args.n
 
+    if family == "path" and n < 0:
+        raise SpecError(f"path length {n} < 0")
     if family in ("path", "cycle"):
-        _check_chain_cap(n, family)
-    if family == "path":
-        poly = path_poly(n)
-        payload = _poly_payload(poly)
-    elif family == "cycle":
-        poly = cycle_poly(n)
+        refuse_past(n, CHAIN_VERTEX_CAP, f"{family} of", "vertices")
+        poly = path_poly(n) if family == "path" else cycle_poly(n)
         payload = _poly_payload(poly)
     else:
         h = args.h
         if h is None:
             raise SpecError(f"--h is required for {family}")
         # n cycles of h vertices share n - 1 cut vertices
-        _check_chain_cap(n * (h - 1) + 1, f"{family} chain")
-        if family == "ortho":
-            poly = ortho_poly(h, n)
-            payload = _poly_payload(poly)
-            if n >= 1:
-                payload["alpha"] = alpha_ortho(h, n)
-            if n >= 2:
-                payload["mis_count"] = str(count_mis_ortho(h, n))
-        else:
-            poly = meta_poly(h, n)
-            payload = _poly_payload(poly)
-            if n >= 1 and h >= 4:
-                payload["alpha"] = alpha_meta(h, n)
-            if n >= 2 and h >= 4:
-                payload["mis_count"] = str(count_mis_meta(h, n))
+        refuse_past(n * (h - 1) + 1, CHAIN_VERTEX_CAP, f"{family} chain of", "vertices")
+        poly = ortho_poly(h, n) if family == "ortho" else meta_poly(h, n)
+        payload = _poly_payload(poly)
         payload["h"] = h
 
     payload["family"] = family
@@ -347,6 +312,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import (
         RECURRENCE_VERTEX_CAP,
         count_chains,
+        largest_chain,
         recurrence_vertices,
         verify_dominance,
         verify_engines,
@@ -370,29 +336,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ns = range(n_lo, n_hi + 1)
         if suite == "recurrences":
             largest, total = recurrence_vertices(hs, ns)
-            _check_chain_cap(largest, "verify recurrences chain")
-            if total > RECURRENCE_VERTEX_CAP:
-                raise VertexCapError(
-                    f"verify recurrences over {count_text(total)} vertices in all"
-                    f" exceeds the cap of {RECURRENCE_VERTEX_CAP} vertices"
-                )
+            refuse_past(largest, CHAIN_VERTEX_CAP, "verify recurrences chain of", "vertices")
+            refuse_past(total, RECURRENCE_VERTEX_CAP, "verify recurrences over", "vertices in all")
         else:
-            count = count_chains(hs, ns)
-            if count > SWEEP_CAP:
-                raise VertexCapError(
-                    f"verify {suite} over {count_text(count)} chains"
-                    f" exceeds the cap of {SWEEP_CAP} chains"
-                )
+            # engines runs the recursion on every chain, lemmas the walk
+            refuse_past(count_chains(hs, ns), SWEEP_CAP, f"verify {suite} over", "chains")
+            refuse_past(largest_chain(hs, ns), MEMO_VERTEX_CAP, f"verify {suite} chain of", "vertices")
         plan.append((suite, hs, ns))
 
-    results = []
-    for suite, hs, ns in plan:
-        if suite == "engines":
-            results.extend(verify_engines(hs, ns))
-        elif suite == "recurrences":
-            results.extend(verify_recurrences(hs, ns))
-        else:
-            results.extend(verify_dominance(hs, ns))
+    run = {"engines": verify_engines, "recurrences": verify_recurrences, "lemmas": verify_dominance}
+    results = [r for suite, hs, ns in plan for r in run[suite](hs, ns)]
 
     all_passed = all(r.passed for r in results)
     if fmt == "json":

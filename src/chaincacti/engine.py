@@ -7,7 +7,7 @@
 - ``indpoly_recursive``: the generic deletion identity
   i(G) = i(G - u) + x * i(G - N[u]) on a maximum-degree pivot, with
   component factorization and memoization, on an explicit stack; works on
-  any graph.
+  any graph of up to ``MEMO_VERTEX_CAP`` vertices.
 - ``indpoly_chain``: the transfer method, which exploits the chain
   structure: a start state times one cached 2x2 polynomial step matrix
   M(h, k) per cycle, multiplied out by a balanced product tree on long
@@ -46,18 +46,27 @@ BRUTE_FORCE_CAP = 32
 #: about 50 s and 340 MB on a 2-core Xeon VM.
 CHAIN_VERTEX_CAP = 30_001
 
+#: Largest graph, in vertices, for the pivot recursion and the chain walk,
+#: which keep a polynomial per subgraph or prefix.  At the cap the recursion
+#: takes up to 9.1 s and 677 MB, a sweep 159 s and 996 MB (README, Caps).
+MEMO_VERTEX_CAP = 2_201
+
 
 class VertexCapError(ValueError):
-    """A request beyond an engine's reach.
+    """Work past a cap, refused before it starts; raised only by ``refuse_past``."""
 
-    Raised for brute force past ``BRUTE_FORCE_CAP`` vertices, for a sweep
-    past ``extremal.SWEEP_CAP`` chains and, in the CLI, for a transfer or
-    closed-form chain past ``CHAIN_VERTEX_CAP`` vertices.
-    """
+
+def refuse_past(amount: int, cap: int, what: str, unit: str) -> None:
+    """The one rule for every cap: refuse an ``amount`` of ``unit`` past ``cap``."""
+    if amount > cap:
+        raise VertexCapError(f"{what} {count_text(amount)} {unit} exceeds the cap of {cap} {unit}")
 
 
 def count_text(count: int) -> str:
-    """A count for a cap message: in full up to 30 digits, else its digit count."""
+    """A count for a cap message: in full up to 30 digits, else its digit
+    count; a ``Decimal`` is a power of ten below a count too large to compute."""
+    if not isinstance(count, int):
+        return f"more than 10^{count.adjusted():,}"
     if count < 10**30:
         return str(count)
     # The digit count from the bit length, corrected by at most one power of
@@ -90,10 +99,7 @@ def indpoly_bruteforce(g: LabeledGraph) -> UniPoly:
     ``indpoly_recursive`` it picks no max-degree pivot and never splits the
     graph into components.
     """
-    if g.num_vertices > BRUTE_FORCE_CAP:
-        raise VertexCapError(
-            f"brute force capped at {BRUTE_FORCE_CAP} vertices, got {g.num_vertices}"
-        )
+    refuse_past(g.num_vertices, BRUTE_FORCE_CAP, "brute force on a graph of", "vertices")
     counts = count_independent_sets(g.adjacency_masks())
     return _check_indpoly(UniPoly(counts), g.num_vertices)
 
@@ -106,8 +112,10 @@ def indpoly_recursive(g: LabeledGraph) -> UniPoly:
     bitset; connected components are solved independently and multiplied.
     Coefficients are kept as plain lists internally and boxed once at the end.
     The recursion runs on an explicit stack, so the depth of a graph's pivot
-    tree is not bounded by the interpreter's recursion limit.
+    tree is not bounded by the interpreter's recursion limit.  Graphs past
+    ``MEMO_VERTEX_CAP`` vertices are refused.
     """
+    refuse_past(g.num_vertices, MEMO_VERTEX_CAP, "recursion on a graph of", "vertices")
     masks = g.adjacency_masks()
     nv = g.num_vertices
     memo: dict[int, list[int]] = {0: [1]}

@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .chain_model import ChainSpec, SpecError, count_specs
-from .engine import VertexCapError, count_text, walk_chains
+from .chain_model import ChainSpec, SpecError, all_ones_spec, count_specs
+from .engine import MEMO_VERTEX_CAP, refuse_past, walk_chains
 from .polynomial import Dominance, UniPoly, dominance
 
 
@@ -97,7 +97,8 @@ def tally_deletions(
     - meta_deletion_max: (k, 2) for k in 3..top, coefficientwise;
     - psi_deletion_ordering: both lists, on the total counts.
 
-    A lemma with no pairs counts the chain as vacuous, any other as checked.
+    A chain of one cycle, and a lemma with no pairs, count the chain as
+    vacuous; any other chain counts as checked.
     The first failing pair of a result with no counterexample yet becomes
     its counterexample, and its reason the result's detail.
     """
@@ -118,7 +119,7 @@ def tally_deletions(
         (ortho + meta, psi_below, "psi at position {} not below position {}"),
     )
     for result, (pairs, below, reason) in zip(results, lemmas):
-        if not pairs:
+        if len(sizes) < 2 or not pairs:
             result.vacuous += 1
             continue
         result.checked += 1
@@ -219,11 +220,7 @@ def _sweep_subtree(
     for positions, poly, deletions in walk_chains(sizes, dedupe_reversal, first):
         deg, lead = poly.degree_and_leading()
         entries.append(SweepEntry(positions, poly.eval_at_one(), deg, lead))
-        if len(sizes) >= 2:
-            tally_deletions(lemmas, sizes, positions, deletions)
-    if len(sizes) < 2:
-        for lemma in lemmas:
-            lemma.vacuous = len(entries)  # a deletion lemma needs two cycles
+        tally_deletions(lemmas, sizes, positions, deletions)
     return entries, lemmas
 
 
@@ -269,16 +266,14 @@ def sweep(
     The chains come from one walk of the position sequences.  With ``jobs`` > 1
     the walk is split at the first internal position, one subtree per task,
     over at most ``jobs`` processes, one per subtree and one per CPU.  More
-    than ``SWEEP_CAP`` chains are refused before any work starts.
+    than ``SWEEP_CAP`` chains, or chains past ``MEMO_VERTEX_CAP`` vertices,
+    are refused before any work starts.
     """
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")
     sizes = tuple(cycle_sizes)
-    count = count_specs(sizes)
-    if count > SWEEP_CAP:
-        raise VertexCapError(
-            f"sweep over {count_text(count)} chains exceeds the cap of {SWEEP_CAP} chains"
-        )
+    refuse_past(count_specs(sizes), SWEEP_CAP, "sweep over", "chains")
+    refuse_past(all_ones_spec(sizes).num_vertices, MEMO_VERTEX_CAP, "sweep over chains of", "vertices")
     subtrees = sizes[1] // 2 if len(sizes) >= 3 else 1
     workers = min(jobs, subtrees, os.cpu_count() or 1)
     if workers > 1:

@@ -142,6 +142,16 @@ def test_closed_path_and_cycle(capsys):
     assert payload["result"]["psi"] == "18"
 
 
+def test_closed_path_refuses_negative_lengths(capsys):
+    for n in ("-1", "-2"):
+        assert main(["closed", "path", "--n", n]) == 2
+        assert f"path length {n} < 0" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["closed", "path", "--n", "0", "--format", "json"])
+    assert code == 0
+    assert payload["result"]["coefficients"] == ["1"]
+    assert (payload["result"]["alpha"], payload["result"]["mis_count"]) == (0, "1")
+
+
 def test_closed_ortho_and_meta(capsys):
     code, payload = run_json(
         capsys, ["closed", "ortho", "--h", "6", "--n", "3", "--format", "json"]
@@ -423,6 +433,62 @@ def test_the_vertex_cap_is_a_count_of_vertices(capsys, monkeypatch):
     # the recursive engine and brute force have caps of their own
     assert main(["poly", "6^5/2^3", "--engine", "recursive"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("engine_name", ["brute", "recursive"])
+def test_huge_specs_on_brute_and_recursive_are_refused_before_the_graph_is_built(
+    capsys, monkeypatch, engine_name
+):
+    def no_build(spec):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    started = time.perf_counter()
+    assert main(["poly", "3^100000/1^99998", "--engine", engine_name]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert (
+        f"{engine_name} engine on a graph of at least 200001 vertices exceeds the cap"
+        in capsys.readouterr().err
+    )
+
+
+def test_brute_and_recursive_caps_count_vertices_less_deleted_labels(capsys, monkeypatch):
+    # 5 hexagons have 26 vertices; one deleted label leaves 25
+    monkeypatch.setattr(cli, "BRUTE_FORCE_CAP", 25)
+    monkeypatch.setattr(cli, "MEMO_VERTEX_CAP", 25)
+    for argv in (["--engine", "brute"], ["--engine", "recursive"], []):
+        assert main(["poly", "6^5/2^3", "--delete", "1:3", *argv]) == 0
+    assert main(["poly", "6^5/2^3", "--engine", "recursive"]) == 3
+    monkeypatch.setattr(cli, "BRUTE_FORCE_CAP", 24)
+    monkeypatch.setattr(cli, "MEMO_VERTEX_CAP", 24)
+    for argv in (["--engine", "brute"], ["--engine", "recursive"], []):
+        assert main(["poly", "6^5/2^3", "--delete", "1:3", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "recursive engine on a graph of at least 25 vertices exceeds the cap of 24" in err
+
+
+def test_verify_refuses_a_chain_past_the_memo_cap(capsys, monkeypatch):
+    # the largest chain of --h 3..4 --n 1..2 has 2 * 3 + 1 = 7 vertices
+    for suite in ("engines", "lemmas"):
+        monkeypatch.setattr(cli, "MEMO_VERTEX_CAP", 7)
+        assert main(["verify", suite, "--h", "3..4", "--n", "1..2"]) == 0
+        monkeypatch.setattr(cli, "MEMO_VERTEX_CAP", 6)
+        assert main(["verify", suite, "--h", "3..4", "--n", "1..2"]) == 3
+        assert f"verify {suite} chain of 7 vertices exceeds the cap of 6" in capsys.readouterr().err
+    monkeypatch.undo()
+    for argv in (["engines", "--n", "1..1"], ["lemmas", "--n", "2..2"], ["all", "--n", "1..2"]):
+        started = time.perf_counter()
+        assert main(["verify", *argv, "--h", "100000..100000"]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "vertices exceeds the cap of 2201 vertices" in capsys.readouterr().err
+
+
+def test_a_count_of_millions_of_digits_is_refused_at_once(capsys):
+    started = time.perf_counter()
+    assert main(["verify", "all", "--h", "3..10000000", "--n", "0..1000000"]) == 3
+    assert time.perf_counter() - started < 0.3
+    err = capsys.readouterr().err
+    assert "verify engines over more than 10^13,397,913 chains exceeds the cap" in err
 
 
 def test_poly_accepts_the_position_shorthand(capsys):

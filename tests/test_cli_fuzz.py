@@ -3,10 +3,7 @@
 Every input must end in a documented exit code (0 to 3, never 5, the
 internal error) within a second, and an input past a cap must be refused
 with exit 3.  The inputs are either small, or large enough to be past a cap,
-so that no example starts large real work.  Three kinds of input are left
-out because no cap covers them yet: a huge spec on the recursive or the
-brute-force engine, a sweep over one long chain (``3^m``), and ``verify`` on
-a single very large cycle.
+so that no example starts large real work.
 """
 
 import contextlib
@@ -31,7 +28,7 @@ def _commas(values) -> str:
 @st.composite
 def poly_args(draw):
     engine = draw(st.sampled_from(["transfer", "recursive", "brute"]))
-    if engine == "transfer" and draw(st.booleans()):
+    if draw(st.booleans()):
         h, m = draw(st.integers(3, 12)), draw(many)
         argv, past_cap = ["poly", f"{h}^{m}/{draw(st.integers(1, h // 2))}^{m - 2}"], True
     else:
@@ -44,6 +41,8 @@ def poly_args(draw):
         cycles = st.sampled_from(["n", "n", "1", "2", "3", "x"])
         labels = draw(st.lists(st.tuples(cycles, st.integers(0, 6)), min_size=1, max_size=2))
         argv += ["--delete", _commas(f"{c}:{p}" for c, p in labels)]
+        # the transfer engine refuses a long chain before it reads the labels
+        past_cap = past_cap and (engine == "transfer" or all(c != "x" for c, _ in labels))
     if draw(st.booleans()):
         argv.append("--no-crosscheck")
     return argv, past_cap
@@ -65,11 +64,19 @@ def closed_args(draw):
 
 @st.composite
 def sweep_args(draw):
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["small", "many chains", "long chain", "large cycles"]))
+    if shape == "many chains":
         # (h//2)^(m-2) >= 2^99998 chains; m stops at 3*10^5 because checking
         # the sizes of 10^6 cycles alone takes about half the time limit
         m = draw(st.integers(10**5, 3 * 10**5))
         argv, past_cap = ["sweep", f"{draw(st.integers(4, 12))}^{m}"], True
+    elif shape == "long chain":
+        # one chain of at least 2,203 vertices
+        argv, past_cap = ["sweep", f"3^{draw(st.integers(1101, 3 * 10**5))}"], True
+    elif shape == "large cycles":
+        # few chains of at least 2,202 vertices
+        sizes = draw(st.lists(st.integers(1102, 10**6), min_size=2, max_size=3))
+        argv, past_cap = ["sweep", _commas(sizes)], True
     else:
         sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=5))
         argv, past_cap = ["sweep", _commas(sizes)], False
@@ -86,22 +93,28 @@ def sweep_args(draw):
 def verify_args(draw):
     suite = draw(st.sampled_from(["engines", "recurrences", "lemmas", "all"]))
     h_lo, n_lo = draw(st.integers(-1, 5)), draw(st.integers(-1, 3))
-    shape = draw(st.sampled_from(["small", "many sizes", "long chains", "malformed"]))
+    shape = draw(st.sampled_from(["small", "many sizes", "long chains", "large cycles", "malformed"]))
     h_hi, n_hi = h_lo + draw(st.integers(0, 1)), min(n_lo + draw(st.integers(0, 2)), 4)
     if shape == "many sizes":
         # more than 262,144 sizes, and a chain of two such cycles past the vertex cap
         h_hi = draw(st.integers(3 * 10**5, 10**7))
     elif shape == "long chains":
-        # at least 2^9999 chains, and chains past the vertex cap
+        # at least 2^9999 chains, and chains past the vertex cap; past 5 * 10^5
+        # to 10^6 cycles the count is bounded, not computed
         h_lo, h_hi = 4, 4 + draw(st.integers(0, 2))
-        n_hi = draw(st.integers(10**4 + 1, 3 * 10**4))
+        n_hi = draw(st.integers(10**4 + 1, 10**7))
+    elif shape == "large cycles":
+        # few chains, each past every vertex cap
+        h_lo = h_hi = draw(st.integers(30_001, 10**7))
     h_range, n_range = f"{h_lo}..{h_hi}", f"{n_lo}..{n_hi}"
     if shape == "malformed":
         h_range = draw(st.sampled_from([f"{h_hi}..{h_lo - 1}", "x..3", "3.."]))
     # a negative range start reads as a flag to argparse, which exits 2
     needs = {"engines": 1, "lemmas": 2, "recurrences": 0, "all": 0}[suite]
     past_cap = h_lo >= 3 and n_lo >= 0 and (
-        shape == "long chains" or (shape == "many sizes" and n_hi >= needs)
+        shape == "long chains"
+        or (shape == "many sizes" and n_hi >= needs)
+        or (shape == "large cycles" and (suite in ("recurrences", "all") or n_hi >= needs))
     )
     return ["verify", suite, "--h", h_range, "--n", n_range], past_cap
 

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+from decimal import Decimal
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaincacti.engine as engine
 from chaincacti.chain_model import (
     ChainSpec,
     SpecError,
@@ -31,6 +33,7 @@ from chaincacti.engine import (
     indpoly_chain,
     indpoly_chain_minus_last_vertex,
     indpoly_recursive,
+    refuse_past,
     transfer_state,
     walk_chains,
 )
@@ -61,6 +64,29 @@ def test_bruteforce_cap():
     with pytest.raises(VertexCapError):
         indpoly_bruteforce(g)
     assert BRUTE_FORCE_CAP == 32
+
+
+def test_refuse_past_is_the_one_cap_rule():
+    refuse_past(7, 7, "job of", "units")
+    with pytest.raises(VertexCapError, match="^job of 8 units exceeds the cap of 7 units$"):
+        refuse_past(8, 7, "job of", "units")
+    with pytest.raises(VertexCapError, match="^job of a 31-digit number of units exceeds"):
+        refuse_past(10**30, 7, "job of", "units")
+    with pytest.raises(VertexCapError, match=r"^job of more than 10\^1,000,000 units exceeds"):
+        refuse_past(Decimal("1e1000000"), 7, "job of", "units")
+
+
+def test_bruteforce_and_recursion_refuse_past_their_caps(monkeypatch):
+    g = build(parse_spec("6^5/2^3"))
+    assert g.num_vertices == 26
+    monkeypatch.setattr(engine, "BRUTE_FORCE_CAP", 25)
+    with pytest.raises(VertexCapError, match="^brute force on a graph of 26 vertices exceeds the cap of 25 vertices$"):
+        indpoly_bruteforce(g)
+    monkeypatch.setattr(engine, "MEMO_VERTEX_CAP", 26)
+    assert indpoly_recursive(g) == indpoly_chain(parse_spec("6^5/2^3"))
+    monkeypatch.setattr(engine, "MEMO_VERTEX_CAP", 25)
+    with pytest.raises(VertexCapError, match="^recursion on a graph of 26 vertices exceeds the cap of 25"):
+        indpoly_recursive(g)
 
 
 def test_recursive_handles_disconnected_graphs():

@@ -76,6 +76,14 @@ def test_deletion_verdicts_require_two_cycles():
             assert v.detail == "nothing to check across 1 chain(s)"
 
 
+def test_tally_counts_a_one_cycle_chain_as_vacuous():
+    # deletions that would fail every lemma on a longer chain
+    deletions = [UniPoly([1, 9]), UniPoly([1, 5]), UniPoly([1, 7]), UniPoly([1, 6])]
+    for result in _judge((8,), (), deletions):
+        assert (result.status, result.checked, result.vacuous) == ("vacuous", 0, 1)
+    assert [r.status for r in _judge((8, 8), (), deletions)] == ["fail"] * 3
+
+
 def _assert_fail(verdict, k, poly_a, poly_b):
     assert verdict.status == "fail"
     assert not verdict.passed
@@ -426,6 +434,21 @@ def test_sweep_refuses_past_the_cap_before_any_work():
     started = time.perf_counter()
     with pytest.raises(VertexCapError, match=f"60466176 chains exceeds the cap of {SWEEP_CAP}"):
         sweep([12] * 12)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_sweep_refuses_chains_past_the_vertex_cap(monkeypatch):
+    # three hexagons have 16 vertices
+    monkeypatch.setattr(extremal, "MEMO_VERTEX_CAP", 16)
+    assert len(sweep([6, 6, 6]).entries) == 3
+    monkeypatch.setattr(extremal, "MEMO_VERTEX_CAP", 15)
+    with pytest.raises(VertexCapError, match="^sweep over chains of 16 vertices exceeds the cap of 15"):
+        sweep([6, 6, 6])
+    # a chain of 200,001 vertices is refused before its walk starts
+    monkeypatch.undo()
+    started = time.perf_counter()
+    with pytest.raises(VertexCapError, match="200001 vertices"):
+        sweep([3] * 100_000)
     assert time.perf_counter() - started < 1.0
 
 

@@ -8,6 +8,7 @@ from chaincacti.verification import (
     PropertyResult,
     all_specs,
     count_chains,
+    largest_chain,
     recurrence_vertices,
     size_lists,
     verify_dominance,
@@ -199,3 +200,24 @@ def test_recurrence_vertices_counts_the_chains_the_suite_builds():
         assert recurrence_vertices(hs, ns) == (max(sizes, default=0), sum(sizes))
     # the CLI default
     assert recurrence_vertices(range(3, 9), range(0, 9)) == (57, 1080)
+
+
+def test_count_chains_gives_a_power_of_ten_below_a_count_too_large_to_compute(monkeypatch):
+    # S = 1 + 2 + 2 + 3 + 3 + 4 = 15 over h = 3..8: S^58 has 58 * 3 = 174 bits by bit lengths
+    hs, ns = range(3, 9), range(2, 61)
+    exact = count_chains(hs, ns)
+    monkeypatch.setattr(verification, "EXACT_COUNT_BITS", 174)
+    assert count_chains(hs, ns) == exact
+    monkeypatch.setattr(verification, "EXACT_COUNT_BITS", 173)
+    bound = count_chains(hs, ns)
+    assert not isinstance(bound, int)
+    assert bound == 10**bound.adjusted() and bound < exact < 10**4 * bound
+    # 13 million digits, bounded at once
+    assert count_chains(range(3, 10_000_001), range(0, 1_000_001)).adjusted() == 13_397_913
+
+
+def test_largest_chain_is_the_largest_the_suites_enumerate():
+    for h_lo, h_hi, n_lo, n_hi in itertools.product(range(3, 6), range(5, 8), range(-1, 3), range(0, 4)):
+        hs, ns = range(h_lo, h_hi + 1), range(n_lo, n_hi + 1)
+        vertices = [spec.num_vertices for spec in all_specs(hs, ns)]
+        assert largest_chain(hs, ns) == max(vertices, default=0)
